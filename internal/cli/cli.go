@@ -5,6 +5,7 @@ package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -82,7 +83,11 @@ func LoadPlatform(path string) (platform.Decoded, error) {
 		return platform.Decoded{}, fmt.Errorf("cli: opening platform file: %w", err)
 	}
 	defer f.Close()
-	dec, err := platform.Read(f)
+	b, err := io.ReadAll(f)
+	if err != nil {
+		return platform.Decoded{}, fmt.Errorf("cli: reading platform file %s: %w", path, err)
+	}
+	dec, err := platform.Decode(b)
 	if err != nil {
 		return platform.Decoded{}, fmt.Errorf("cli: platform file %s: %w", path, err)
 	}

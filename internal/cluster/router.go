@@ -135,7 +135,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "solve request carries no platform envelope")
 		return
 	}
-	dec, err := platform.Read(bytes.NewReader(env.Platform))
+	dec, err := platform.Decode(env.Platform)
 	if err != nil {
 		rt.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "decoding platform: "+err.Error())

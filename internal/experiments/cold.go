@@ -47,28 +47,36 @@ func distinctSpider(legs int) platform.Spider {
 	return platform.NewSpider(ls...)
 }
 
-// timeColdSolve measures one cold MinMakespan — construction included,
-// which is the point — on a fresh solver with or without leg dedup.
-func timeColdSolve(sp platform.Spider, n int, dedup bool) (time.Duration, platform.Time, error) {
+// coldRun is one cold MinMakespan — construction included, which is
+// the point — on fresh solvers with or without leg dedup: the best of
+// three timings, the makespan, and the solver's deterministic work
+// counters (leg plans owned, backward placements constructed).
+type coldRun struct {
+	best        time.Duration
+	mk          platform.Time
+	plans       int
+	constructed int64
+}
+
+func timeColdSolve(sp platform.Spider, n int, dedup bool) (coldRun, error) {
 	const reps = 3
-	best := time.Duration(1<<63 - 1)
-	var mk platform.Time
+	run := coldRun{best: time.Duration(1<<63 - 1)}
 	for r := 0; r < reps; r++ {
 		s, err := newColdSolver(sp, dedup)
 		if err != nil {
-			return 0, 0, err
+			return coldRun{}, err
 		}
 		start := time.Now()
 		m, _, err := s.MinMakespan(n)
 		if err != nil {
-			return 0, 0, err
+			return coldRun{}, err
 		}
-		if d := time.Since(start); d < best {
-			best = d
+		if d := time.Since(start); d < run.best {
+			run.best = d
 		}
-		mk = m
+		run.mk, run.plans, run.constructed = m, s.DistinctLegPlans(), s.Stats().Constructed
 	}
-	return best, mk, nil
+	return run, nil
 }
 
 func newColdSolver(sp platform.Spider, dedup bool) (*spider.Solver, error) {
@@ -84,10 +92,12 @@ func newColdSolver(sp platform.Spider, dedup bool) (*spider.Solver, error) {
 // and without isomorphic-leg dedup, on duplicate-heavy and all-distinct
 // platforms, with schedule identity required; plus the warm per-probe
 // cost of the same solver as the yardstick the ROADMAP's cold-path goal
-// is stated against. Hard asserts pin the tentpole claims: dedup finds
-// exactly the distinct shapes, wins at least 1.8x on the widest
-// duplicate-heavy cell, and the cold 1024-leg duplicate-heavy solve
-// lands within 2x of its own warm probe loop's total search cost.
+// is stated against. Hard asserts pin the claims on work counters, never
+// on wall-clock ratios a loaded runner can flip: the dedup solver owns
+// exactly the distinct leg plans and the per-leg solver one plan per
+// leg, each plan costs both the same placements (so dedup constructs
+// legs/distinct times less), and the warm walk constructs nothing. The
+// timings are reported in the table only.
 //
 // Note the ablation understates the PR's end-to-end win: the no-dedup
 // baseline here already runs the flat hull kernel, so the speedup
@@ -103,40 +113,35 @@ func runColdConstruction() (*Report, error) {
 	}
 	const n = 512
 	for _, regime := range []struct {
-		name  string
-		build func(int) platform.Spider
+		name     string
+		build    func(int) platform.Spider
+		distinct func(legs int) int
 	}{
-		{"dup-heavy", dupHeavySpider},
-		{"distinct", distinctSpider},
+		{"dup-heavy", dupHeavySpider, func(int) int { return 2 }},
+		{"distinct", distinctSpider, func(legs int) int { return legs }},
 	} {
 		for _, legs := range []int{256, 1024} {
 			sp := regime.build(legs)
-			probe, err := spider.NewSolver(sp)
+			distinct := regime.distinct(legs)
+			cold, err := timeColdSolve(sp, n, true)
 			if err != nil {
 				return nil, err
 			}
-			distinct := probe.DistinctLegPlans()
-			switch regime.name {
-			case "dup-heavy":
-				if distinct != 2 {
-					return nil, fmt.Errorf("E6c: %s legs=%d: solver owns %d plans, want 2", regime.name, legs, distinct)
-				}
-			case "distinct":
-				if distinct != legs {
-					return nil, fmt.Errorf("E6c: %s legs=%d: solver owns %d plans, want %d", regime.name, legs, distinct, legs)
-				}
-			}
-
-			dDedup, mkA, err := timeColdSolve(sp, n, true)
+			plain, err := timeColdSolve(sp, n, false)
 			if err != nil {
 				return nil, err
 			}
-			dPlain, mkB, err := timeColdSolve(sp, n, false)
-			if err != nil {
-				return nil, err
+			mkA := cold.mk
+			if mkA != plain.mk {
+				return nil, fmt.Errorf("E6c: %s legs=%d: dedup makespan %d, independent plans %d", regime.name, legs, mkA, plain.mk)
 			}
-			if mkA != mkB {
-				return nil, fmt.Errorf("E6c: %s legs=%d: dedup makespan %d, independent plans %d", regime.name, legs, mkA, mkB)
+			if cold.plans != distinct || plain.plans != legs {
+				return nil, fmt.Errorf("E6c: %s legs=%d: cold solvers own %d and %d plans, want %d with dedup and %d without",
+					regime.name, legs, cold.plans, plain.plans, distinct, legs)
+			}
+			if plain.constructed*int64(distinct) != cold.constructed*int64(legs) {
+				return nil, fmt.Errorf("E6c: %s legs=%d: dedup constructed %d placements, per-leg plans %d, want a %d/%d ratio",
+					regime.name, legs, cold.constructed, plain.constructed, distinct, legs)
 			}
 			// Schedule identity, not just makespan equality: the dedup'd
 			// plans must feed the packing the identical candidate stream.
@@ -162,22 +167,17 @@ func runColdConstruction() (*Report, error) {
 
 			// The warm yardstick: total cost of the same deadline walk on
 			// an already-warm solver (plans grown, decision log recorded).
-			warm, err := timeWarmWalk(sp, n, mkA)
+			warm, warmConstructed, err := timeWarmWalk(sp, n, mkA)
 			if err != nil {
 				return nil, err
 			}
-
-			speedup := float64(dPlain) / float64(dDedup)
-			if regime.name == "dup-heavy" && legs == 1024 {
-				if speedup < 1.8 {
-					return nil, fmt.Errorf("E6c: dup-heavy legs=1024: dedup speedup %.2fx, want ≥ 1.8x over the per-leg cold path", speedup)
-				}
-				if float64(dDedup) > 2*float64(warm) {
-					return nil, fmt.Errorf("E6c: dup-heavy legs=1024: cold solve %v exceeds 2x the warm walk %v", dDedup, warm)
-				}
+			if warmConstructed != 0 {
+				return nil, fmt.Errorf("E6c: %s legs=%d: warm walk constructed %d placements, want 0", regime.name, legs, warmConstructed)
 			}
+
+			speedup := float64(plain.best) / float64(cold.best)
 			tbl.AddRow(regime.name, legs, n, distinct,
-				dDedup.Round(time.Microsecond), dPlain.Round(time.Microsecond),
+				cold.best.Round(time.Microsecond), plain.best.Round(time.Microsecond),
 				fmt.Sprintf("%.2fx", speedup), warm.Round(time.Microsecond))
 		}
 	}
@@ -187,28 +187,30 @@ func runColdConstruction() (*Report, error) {
 // timeWarmWalk measures the total cost of a binary-search deadline walk
 // bracketing the optimum on a warmed solver — the whole warm search,
 // not per probe: the quantity the ROADMAP's "cold within 2x of warm"
-// goal compares the cold solve against.
-func timeWarmWalk(sp platform.Spider, n int, opt platform.Time) (time.Duration, error) {
+// goal compares the cold solve against. It also returns the placements
+// the walks constructed, which a warm solver must not need.
+func timeWarmWalk(sp platform.Spider, n int, opt platform.Time) (time.Duration, int64, error) {
 	const reps = 3
 	s, err := spider.NewSolver(sp)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if _, _, err := s.MinMakespan(n); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	before := s.Stats().Constructed
 	walk := probeWalk(opt)
 	best := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for _, d := range walk {
 			if _, err := s.MaxTasks(n, d); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
-	return best, nil
+	return best, s.Stats().Constructed - before, nil
 }

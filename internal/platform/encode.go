@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,10 +72,26 @@ type Decoded struct {
 	Tree   *Tree
 }
 
-// Read decodes a tagged platform document and validates it.
+// Read decodes a tagged platform document and validates it: it reads r
+// to the end and runs Decode on the bytes. The copy goes through
+// io.Copy, so an in-memory reader (bytes.Reader, strings.Reader) hands
+// over its bytes in one sized write instead of a doubling read loop.
 func Read(r io.Reader) (Decoded, error) {
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return Decoded{}, fmt.Errorf("platform: decoding platform file: %w", err)
+	}
+	return Decode(buf.Bytes())
+}
+
+// decodeJSON is the reference semantics of the envelope: encoding/json
+// decodes the first JSON value of b (bytes after it are ignored), then
+// the body the kind names, then the platform validates. Decode's
+// canonical fast path reproduces it exactly on the grammar it accepts
+// and hands it everything else.
+func decodeJSON(b []byte) (Decoded, error) {
 	var env fileEnvelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
 		return Decoded{}, fmt.Errorf("platform: decoding platform file: %w", err)
 	}
 	switch env.Kind {

@@ -145,3 +145,49 @@ func TestHashLegBoundaries(t *testing.T) {
 		t.Error("different leg boundaries share a fingerprint")
 	}
 }
+
+// BenchmarkHash measures the fingerprint of wide platforms, the shapes
+// every request on the service path hashes.
+func BenchmarkHash(b *testing.B) {
+	g := MustGenerator(1, 1, 30, Uniform)
+	sp, f := g.Spider(1024, 3), g.Fork(1024)
+	b.Run("spider1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = HashSpider(sp)
+		}
+	})
+	b.Run("fork1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = HashFork(f)
+		}
+	})
+}
+
+// TestLiteralDigests: the literal digests see numbering that Hash
+// normalises away, and tell apart shapes that share a preorder value
+// sequence, while equal values always digest equally.
+func TestLiteralDigests(t *testing.T) {
+	sp := NewSpider(NewChain(2, 5, 3, 3), NewChain(1, 4))
+	perm := NewSpider(sp.Legs[1], sp.Legs[0])
+	if LiteralSpider(sp) != LiteralSpider(sp.Clone()) {
+		t.Error("equal spiders digest differently")
+	}
+	if LiteralSpider(sp) == LiteralSpider(perm) {
+		t.Error("leg-permuted spiders share a literal digest")
+	}
+	if LiteralChain(sp.Legs[0]) == LiteralChain(NewChain(2, 5)) {
+		t.Error("chains of different length share a literal digest")
+	}
+	// The same preorder (c, w) sequence as a path and as siblings.
+	path := Tree{Roots: []TreeNode{{Comm: 1, Work: 1, Children: []TreeNode{{Comm: 2, Work: 2, Children: []TreeNode{{Comm: 3, Work: 3}}}}}}}
+	fan := Tree{Roots: []TreeNode{{Comm: 1, Work: 1, Children: []TreeNode{{Comm: 2, Work: 2}, {Comm: 3, Work: 3}}}}}
+	swapped := Tree{Roots: []TreeNode{{Comm: 1, Work: 1, Children: []TreeNode{{Comm: 3, Work: 3}, {Comm: 2, Work: 2}}}}}
+	if LiteralTree(path) == LiteralTree(fan) || LiteralTree(fan) == LiteralTree(swapped) {
+		t.Error("distinct trees share a literal digest")
+	}
+	if LiteralTree(fan) != LiteralTree(fan.Clone()) || HashTree(fan) != HashTree(swapped) {
+		t.Error("equal trees digest differently")
+	}
+}

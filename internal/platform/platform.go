@@ -365,11 +365,14 @@ func (f Fork) CheckHorizon(n int) error {
 }
 
 // Spider converts the fork into the equivalent spider with single-node
-// legs, so chain/spider machinery applies uniformly.
+// legs, so chain/spider machinery applies uniformly. The legs share one
+// copy of the slaves, each capped at its own node.
 func (f Fork) Spider() Spider {
-	legs := make([]Chain, len(f.Slaves))
-	for i, n := range f.Slaves {
-		legs[i] = Chain{Nodes: []Node{n}}
+	nodes := make([]Node, len(f.Slaves))
+	copy(nodes, f.Slaves)
+	legs := make([]Chain, len(nodes))
+	for i := range nodes {
+		legs[i] = Chain{Nodes: nodes[i : i+1 : i+1]}
 	}
 	return Spider{Legs: legs}
 }

@@ -169,7 +169,7 @@ func (c *Client) targets(req *service.Request) []string {
 	if c.ring == nil {
 		return []string{c.base}
 	}
-	dec, err := platform.Read(bytes.NewReader(req.Platform))
+	dec, err := platform.Decode(req.Platform)
 	if err != nil {
 		return []string{c.base}
 	}

@@ -53,9 +53,9 @@ type kindHandler struct {
 	solverKind string
 	// prepare normalises the decoded platform into the query, checks
 	// the overflow horizon for horizonN tasks, and returns the literal
-	// platform value the flight key digests (the requester's own
-	// numbering, NOT order-normalised — see Service.parse).
-	prepare func(q *query, dec platform.Decoded, horizonN int) (literal any, err error)
+	// digest the flight key carries: the platform as the requester
+	// numbered it, NOT order-normalised (see Service.parse).
+	prepare func(q *query, dec platform.Decoded, horizonN int) (literal platform.Hash, err error)
 	// construct builds the warmed backend for the query's platform.
 	construct func(q *query) (backend, error)
 }
@@ -76,9 +76,9 @@ func registerKind(h *kindHandler) {
 func init() {
 	registerKind(&kindHandler{
 		wire: "chain", solverKind: "chain",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (any, error) {
+		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
 			q.chain, q.size = *dec.Chain, 1
-			return dec.Chain, q.chain.CheckHorizon(horizonN)
+			return platform.LiteralChain(q.chain), q.chain.CheckHorizon(horizonN)
 		},
 		construct: func(q *query) (backend, error) {
 			inc, err := core.NewIncremental(q.chain)
@@ -90,28 +90,30 @@ func init() {
 	})
 	registerKind(&kindHandler{
 		wire: "spider", solverKind: "spider",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (any, error) {
+		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
 			q.sp = *dec.Spider
 			q.size = q.sp.NumLegs()
-			return dec.Spider, q.sp.CheckHorizon(horizonN)
+			return platform.LiteralSpider(q.sp), q.sp.CheckHorizon(horizonN)
 		},
 		construct: constructSpider,
 	})
 	registerKind(&kindHandler{
 		wire: "fork", solverKind: "spider",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (any, error) {
+		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
+			// A fork digests as its spider form, so it coalesces with
+			// that spider exactly as it shares its cache entry.
 			q.sp = dec.Fork.Spider()
 			q.size = q.sp.NumLegs()
-			return q.sp, q.sp.CheckHorizon(horizonN)
+			return platform.LiteralSpider(q.sp), q.sp.CheckHorizon(horizonN)
 		},
 		construct: constructSpider,
 	})
 	registerKind(&kindHandler{
 		wire: "tree", solverKind: "tree",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (any, error) {
+		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
 			q.tr = *dec.Tree
 			q.size = q.tr.NumProcs()
-			return dec.Tree, q.tr.CheckHorizon(horizonN)
+			return platform.LiteralTree(q.tr), q.tr.CheckHorizon(horizonN)
 		},
 		construct: func(q *query) (backend, error) {
 			ts, err := tree.NewSolver(q.tr)

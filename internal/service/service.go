@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -334,25 +331,21 @@ func (s *Service) parse(req *Request) (*query, error) {
 	if len(req.Platform) == 0 {
 		return nil, fmt.Errorf("service: request carries no platform")
 	}
-	dec, err := platform.Read(bytes.NewReader(req.Platform))
+	dec, err := platform.Decode(req.Platform)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	h, ok := kindRegistry[dec.Kind]
 	if !ok {
-		// platform.Read rejects unknown kinds, so an unregistered kind
+		// platform.Decode rejects unknown kinds, so an unregistered kind
 		// here means a handler was never written for a decodable
 		// platform — a service bug, not a client one.
 		return nil, fmt.Errorf("%w: no solver registered for platform kind %q", ErrInternal, dec.Kind)
 	}
 	q := &query{req: req, h: h, key: ckey{kind: h.solverKind, hash: dec.Hash()}}
-	litVal, horizonErr := h.prepare(q, dec, max(req.N, 1))
-	literal, err := json.Marshal(litVal)
+	lit, err := h.prepare(q, dec, max(req.N, 1))
 	if err != nil {
-		return nil, fmt.Errorf("service: encoding platform: %w", err)
-	}
-	if horizonErr != nil {
-		return nil, fmt.Errorf("service: %w", horizonErr)
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	switch {
 	case req.Op == OpMinMakespan && req.N < 1:
@@ -364,7 +357,6 @@ func (s *Service) parse(req *Request) (*query, error) {
 	case req.N > s.cfg.MaxN:
 		return nil, fmt.Errorf("service: task count %d exceeds the per-query limit %d", req.N, s.cfg.MaxN)
 	}
-	lit := sha256.Sum256(literal)
 	// The allow_degraded tri-state is part of the flight key: coalesced
 	// joiners share the leader's response verbatim, and a degraded 200
 	// is only correct for joiners with the same degradation contract.
@@ -373,7 +365,7 @@ func (s *Service) parse(req *Request) (*query, error) {
 		deg = fmt.Sprintf("%t", *req.AllowDegraded)
 	}
 	q.flightKey = fmt.Sprintf("%s|%s|%s|%d|%d|%t|%s",
-		hex.EncodeToString(lit[:]), q.key.kind, req.Op, req.N, req.Deadline, req.IncludeSchedule, deg)
+		lit, q.key.kind, req.Op, req.N, req.Deadline, req.IncludeSchedule, deg)
 	return q, nil
 }
 
