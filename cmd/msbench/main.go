@@ -52,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV under this directory")
 		jsonPath   = fs.String("json", "", "measure the E5/E5c/E5w/E5p/E6 regression families and write the baseline JSON here")
-		refSolve   = fs.Bool("reference", false, "with -json: measure the spider family with the unmemoized reference solver, the wide family with the slice-based packer, the probe loop with from-scratch probing and the E6-cold cells with leg dedup off")
+		refSolve   = fs.Bool("reference", false, "with -json: measure the spider family with the unmemoized reference solver, the wide family and the probe loop with the slice-based packer, and the E6-cold cells with leg dedup off")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this file")
 	)

@@ -127,9 +127,9 @@ func calibrate() (int64, error) {
 // inner loop dominates and the streaming tree packer earns its keep.
 // probeLoopLegs/probeLoopN are the E5p-loop cells: the warm probe loop
 // (a binary-search deadline walk against a warmed solver) at two widths,
-// keyed by leg count — the workload the probe-persistent packer and
-// tournament merge amortise, guarded against the from-scratch path the
-// -reference dump measures. coldLegs/coldN are the E6-cold cells: one
+// keyed by leg count — the workload the ceiling-bounded merge and packer
+// serve, guarded against the slice-packing path the -reference dump
+// measures. coldLegs/coldN are the E6-cold cells: one
 // cold min-makespan solve including plan construction, on the E6c
 // experiment's duplicate-heavy and all-distinct platforms, keyed by leg
 // count — the workload isomorphic-leg dedup collapses, guarded against
@@ -155,9 +155,9 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BenchBaseline{Note: "fast solver (probe-persistent packer + tournament merge + leg dedup)", CalibrationNs: calBefore}
+	b := &BenchBaseline{Note: "fast solver (ceiling-bounded merge + packer + leg dedup)", CalibrationNs: calBefore}
 	if reference {
-		b.Note = "reference solvers (E5c via spider.ReferenceMinMakespan; E5w-wide via the slice-based packer; E5p-loop via from-scratch probing; E6-cold via dedup-off per-leg construction)"
+		b.Note = "reference solvers (E5c via spider.ReferenceMinMakespan; E5w-wide and E5p-loop via the slice-based packer; E6-cold via dedup-off per-leg construction)"
 	}
 
 	g := platform.MustGenerator(2024, 1, 9, platform.Uniform)
@@ -235,8 +235,8 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 		b.Points = append(b.Points, pt)
 	}
 	// E5p-loop: the warm probe loop. In reference mode the probes run
-	// from scratch — the pre-persistence implementation — freezing the
-	// comparison point the probe-persistent packer is guarded against.
+	// the slice-based packer over the whole materialised stream — the
+	// comparison point the ceiling path is guarded against.
 	for _, legs := range probeLoopLegs {
 		s, err := newProbeSolver(wideSpider(legs), reference)
 		if err != nil {

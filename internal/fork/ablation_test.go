@@ -17,12 +17,7 @@ func packCountWithOrder(order []platform.VirtualSlave, n int, deadline platform.
 		if len(selected) == n {
 			break
 		}
-		pos := sort.Search(len(selected), func(i int) bool { return selected[i].Proc < cand.Proc })
-		trial := make([]platform.VirtualSlave, 0, len(selected)+1)
-		trial = append(trial, selected[:pos]...)
-		trial = append(trial, cand)
-		trial = append(trial, selected[pos:]...)
-		if packFeasible(trial, deadline) {
+		if trial := insertByProc(selected, cand); packFeasible(trial, deadline) {
 			selected = trial
 		}
 	}

@@ -21,6 +21,16 @@
 //
 // Binary search over Tlim (the optimal makespan is an integer bounded by
 // the master-only schedule) recovers the minimum makespan for n tasks.
+//
+// The greedy runs on Packer, a treap over the admitted set that tests
+// and admits one candidate in O(log n). Packer also keeps a ceiling:
+// once the greedy rejects a candidate, it rejects every later one whose
+// processing time is at least as large (the ceiling lemma, proved at
+// Packer.critical). Packer rejects those in O(1), and a caller merging
+// per-slave runs — whose virtual slaves share c and grow in processing
+// time — can stop reading a run at its first rejection, so one packing
+// offers at most n + runs candidates. PackSorted (slice-based) and
+// packFeasible (the O(n²) spec) stay as the equivalence oracles.
 package fork
 
 import (

@@ -70,11 +70,15 @@ func decodeFuzzWalk(data []byte) ([]probeLeg, []walkStep) {
 }
 
 // FuzzPackerEquivalence drives random candidate streams and deadline
-// walks through the probe-persistent packer and the whole from-scratch
-// ladder (spec greedy, slice packer, tree packer), requiring identical
-// admitted sets and emission starts at every probe. The seeds mirror
-// the property-test families: a recorded binary search, a zig-zag walk
-// with a budget change, ties across legs, and degenerate tiny inputs.
+// walks through one reused ceiling packer fed by the retiring merge
+// (an origin retires at its first rejection or once its next Proc
+// reaches the ceiling) and through the from-scratch ladder (spec
+// greedy, slice packer), requiring identical admitted sets and emission
+// starts at every probe, at most n + origins offers, and that the spec
+// greedy never admits a Proc at or above one it already rejected. The
+// seeds mirror the property-test families: a recorded binary search, a
+// zig-zag walk with a budget change, Comm and Proc ties across origins,
+// and degenerate tiny inputs.
 func FuzzPackerEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -86,6 +90,13 @@ func FuzzPackerEquivalence(f *testing.F) {
 	f.Add([]byte{4, 3, 3, 2, 2, 2, 3, 3, 2, 2, 2, 3, 3, 2, 2, 2, 3, 3, 2, 2, 2, 8, 15, 8, 9, 8, 15, 8, 63})
 	// Single leg, long run, exact repeats.
 	f.Add([]byte{0, 5, 7, 1, 2, 3, 4, 5, 6, 7, 6, 25, 6, 25, 6, 11, 6, 80, 6, 0})
+	// Equal Comm, runs offset by one step: leg b's rank k ties leg b+1's
+	// rank k−1 in Proc, so every Proc value appears in two origins.
+	f.Add([]byte{2, 1, 5, 0, 0, 0, 0, 0, 1, 5, 1, 0, 0, 0, 0, 1, 5, 2, 0, 0, 0, 0, 30, 7, 30, 5, 30, 9, 30, 6, 30})
+	// Proc ties across different Comm: the tie crosses a Comm group.
+	f.Add([]byte{2, 0, 4, 1, 1, 1, 1, 1, 4, 1, 1, 1, 1, 2, 4, 1, 1, 1, 1, 40, 6, 40, 8, 40, 10, 40, 12, 40, 14})
+	// Many tied origins against a tight deadline: most retire at once.
+	f.Add([]byte{4, 0, 3, 2, 2, 2, 0, 3, 2, 2, 2, 0, 3, 2, 2, 2, 0, 3, 2, 2, 2, 0, 3, 2, 2, 2, 60, 5, 60, 7, 60, 9, 2, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		legs, walk := decodeFuzzWalk(data)
 		driveWalk(t, legs, walk)

@@ -31,20 +31,24 @@ import (
 // Candidates must be offered in the admission order of [2] (ascending
 // CompareVirtualSlaves); the greedy decisions, the admitted multiset and
 // the emission starts are then identical to PackSorted's, which the
-// equivalence tests assert. A Packer is not safe for concurrent use.
+// equivalence tests assert. The packer also keeps a ceiling, the lowest
+// Proc it has rejected: by the ceiling lemma (see critical) no later
+// candidate at or above it can be admitted, so such offers are rejected
+// in O(1) and a merge feeding the packer can stop reading any origin
+// whose next Proc reaches the ceiling. A Packer is not safe for
+// concurrent use.
 type Packer struct {
 	deadline platform.Time
 	n        int
+	ceiling  platform.Time // lowest rejected Proc; math.MaxInt64 before any rejection
 	nodes    []treeNode
 	root     int32
 	rng      uint64
-	vscratch []platform.VirtualSlave // rollback rebuild buffer
 }
 
 // prioGamma is the splitmix64 increment seeding the treap priorities.
-// The priority of the i-th admitted node is a pure function of i, so any
-// sequence of admissions and rollbacks that ends with the same admitted
-// prefix ends with the identical treap.
+// The priority of the i-th admitted node is a pure function of i, so the
+// same admission sequence always builds the identical treap.
 const prioGamma = 0x9e3779b97f4a7c15
 
 // treeNode is one admitted virtual slave in the treap. Children are
@@ -62,17 +66,16 @@ type treeNode struct {
 // NewPacker returns an empty packer admitting at most n virtual slaves
 // against the deadline.
 func NewPacker(n int, deadline platform.Time) (*Packer, error) {
-	if deadline < 0 {
-		return nil, fmt.Errorf("fork: negative deadline %d", deadline)
+	p := &Packer{}
+	if err := p.Reset(n, deadline); err != nil {
+		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("fork: negative task count %d", n)
-	}
-	return &Packer{deadline: deadline, n: n, root: -1, rng: prioGamma}, nil
+	return p, nil
 }
 
-// Reset empties the packer for a new deadline and task budget, keeping
-// the node storage so a solver probing many deadlines allocates once.
+// Reset empties the packer for a new deadline and task budget and clears
+// its ceiling, keeping the node storage so a solver probing many
+// deadlines allocates once.
 func (p *Packer) Reset(n int, deadline platform.Time) error {
 	if deadline < 0 {
 		return fmt.Errorf("fork: negative deadline %d", deadline)
@@ -80,7 +83,8 @@ func (p *Packer) Reset(n int, deadline platform.Time) error {
 	if n < 0 {
 		return fmt.Errorf("fork: negative task count %d", n)
 	}
-	p.deadline, p.n, p.nodes, p.root, p.rng = deadline, n, p.nodes[:0], -1, prioGamma
+	p.deadline, p.n, p.ceiling = deadline, n, math.MaxInt64
+	p.nodes, p.root, p.rng = p.nodes[:0], -1, prioGamma
 	return nil
 }
 
@@ -94,16 +98,24 @@ func (p *Packer) Full() bool { return len(p.nodes) == p.n }
 // Deadline returns the deadline the packer admits against.
 func (p *Packer) Deadline() platform.Time { return p.deadline }
 
+// Ceiling returns the lowest Proc rejected since the last Reset
+// (math.MaxInt64 before the first rejection). Every later candidate of
+// the admission order with Proc ≥ Ceiling is rejected.
+func (p *Packer) Ceiling() platform.Time { return p.ceiling }
+
 // Offer runs the greedy admission check of [2] on one candidate and
 // admits it when the decreasing-processing-time packing stays feasible,
-// reporting whether it was admitted. Candidates must arrive in ascending
-// CompareVirtualSlaves order for the greedy to be optimal; the packer
-// itself stays consistent under any order.
+// reporting whether it was admitted. A candidate at or above the
+// ceiling is rejected without a descent; any other rejection lowers the
+// ceiling to the candidate's Proc. Candidates must arrive in ascending
+// CompareVirtualSlaves order: the greedy is optimal only in that order,
+// and the ceiling is sound only in it.
 func (p *Packer) Offer(cand platform.VirtualSlave) bool {
-	if p.Full() {
+	if p.Full() || cand.Proc >= p.ceiling {
 		return false
 	}
 	if p.deadline < p.critical(cand) {
+		p.ceiling = cand.Proc
 		return false
 	}
 	p.insertCand(cand)
@@ -111,13 +123,34 @@ func (p *Packer) Offer(cand platform.VirtualSlave) bool {
 }
 
 // critical returns the smallest deadline that would admit cand against
-// the current admitted set (its admission-order prefix): the maximum of
-// the candidate's own prefix constraint (elapsed communication before it
-// plus its own communication and processing) and the displaced suffix's
-// tightest completion shifted by the candidate's communication time.
-// Both quantities are deadline-independent, so the decision for cand —
-// given this prefix — at any deadline d is exactly d ≥ critical(cand):
-// the hinge the probe-persistent packer's decision log swings on.
+// the current admitted set: the maximum of the candidate's own prefix
+// constraint (elapsed communication before it plus its own
+// communication and processing) and the displaced suffix's tightest
+// completion shifted by the candidate's communication time.
+//
+// Ceiling lemma. Let D be the deadline, S the admitted set, and
+// before_S(p) = Σ Comm over S with Proc ≥ p. If the greedy rejects
+// v = (c, p) given S, it rejects every later candidate v' = (c', p')
+// with p' ≥ p given any admitted set S' ⊇ S. Scan order gives c' ≥ c.
+// Rejection means one of two things:
+//
+//	(a) before_S(p) + c + p > D, or
+//	(b) some j ∈ S with Proc_j < p finishes late once displaced:
+//	    elapsed_j + c + Proc_j > D.
+//
+// In case (b), j is displaced by v' too (Proc_j < p ≤ p'), and its
+// elapsed time only grows from S to S', so it finishes after
+// elapsed_j + c' + Proc_j > D. In case (a), suppose some j ∈ S has
+// Proc_j ∈ [p, p'). Take the last such j in emission order: every
+// member of S with Proc ≥ p is emitted no later than j, so
+// elapsed_j ≥ before_S(p) in S', j is displaced by v', and it finishes
+// at or after before_S(p) + c' + Proc_j ≥ before_S(p) + c + p > D. If
+// there is no such j, every member of S with Proc ≥ p has Proc ≥ p', so
+// before_{S'}(p') ≥ before_S(p) and v' itself finishes at or after
+// before_S(p) + c' + p' > D. Either way v' is rejected. Hence the
+// packer's ceiling, and the corollary the spider probe is built on: an
+// origin whose virtual slaves share Comm and grow in Proc retires at its
+// first rejection, so a probe offers at most n + origins candidates.
 func (p *Packer) critical(cand platform.VirtualSlave) platform.Time {
 	before, tight := p.probe(cand)
 	crit := before + cand.Comm + cand.Proc
@@ -166,7 +199,7 @@ func (p *Packer) probe(cand platform.VirtualSlave) (before, tight platform.Time)
 // insertCand admits cand unconditionally: callers have already decided.
 func (p *Packer) insertCand(cand platform.VirtualSlave) {
 	// splitmix64 priorities: deterministic per admitted index, so runs
-	// are reproducible — and rollbacks rejoin the exact same stream.
+	// are reproducible.
 	p.rng += prioGamma
 	z := p.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -249,84 +282,6 @@ func (p *Packer) update(id int32) {
 		}
 	}
 	nd.minRel = m
-}
-
-// rollback restores the packer to the state it had after its first t
-// admissions, evicting every node admitted later. Node storage keeps
-// admission order, so the victims are exactly nodes[t:]. It picks the
-// cheaper of two equivalent routes — deleting the suffix out of the
-// treap, or rebuilding the treap from the retained prefix — and rewinds
-// the priority stream so subsequent admissions reproduce exactly the
-// treap a from-scratch run over the same decisions would build.
-func (p *Packer) rollback(t int) {
-	if t < 0 {
-		t = 0
-	}
-	if t >= len(p.nodes) {
-		return
-	}
-	if t <= len(p.nodes)-t {
-		// Rebuild: fewer insertions than evictions. Copy the retained
-		// candidates out first — re-inserting appends over their slots.
-		p.vscratch = p.vscratch[:0]
-		for i := 0; i < t; i++ {
-			p.vscratch = append(p.vscratch, p.nodes[i].v)
-		}
-		p.nodes, p.root, p.rng = p.nodes[:0], -1, prioGamma
-		for _, v := range p.vscratch {
-			p.insertCand(v)
-		}
-		return
-	}
-	for i := len(p.nodes) - 1; i >= t; i-- {
-		p.root = p.removeNode(p.root, int32(i))
-	}
-	p.nodes = p.nodes[:t]
-	p.rng = prioGamma * uint64(t+1)
-}
-
-// nodeBefore reports whether node a precedes node b in emission order:
-// strictly larger Proc, ties broken by earlier admission (smaller index).
-func (p *Packer) nodeBefore(a, b int32) bool {
-	if p.nodes[a].v.Proc != p.nodes[b].v.Proc {
-		return p.nodes[a].v.Proc > p.nodes[b].v.Proc
-	}
-	return a < b
-}
-
-// removeNode deletes node nid from the subtree rooted at id by rotating
-// it down until a child slot frees, recomputing aggregates along the
-// way, and returns the new subtree root.
-func (p *Packer) removeNode(id, nid int32) int32 {
-	if id < 0 {
-		return -1
-	}
-	if id == nid {
-		l, r := p.nodes[id].left, p.nodes[id].right
-		if l < 0 {
-			return r
-		}
-		if r < 0 {
-			return l
-		}
-		if p.nodes[l].prio > p.nodes[r].prio {
-			nr := p.rotateRight(id)
-			p.nodes[nr].right = p.removeNode(p.nodes[nr].right, nid)
-			p.update(nr)
-			return nr
-		}
-		nr := p.rotateLeft(id)
-		p.nodes[nr].left = p.removeNode(p.nodes[nr].left, nid)
-		p.update(nr)
-		return nr
-	}
-	if p.nodeBefore(nid, id) {
-		p.nodes[id].left = p.removeNode(p.nodes[id].left, nid)
-	} else {
-		p.nodes[id].right = p.removeNode(p.nodes[id].right, nid)
-	}
-	p.update(id)
-	return id
 }
 
 // Allocation materialises the admitted set in emission order with

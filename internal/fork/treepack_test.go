@@ -2,7 +2,6 @@ package fork
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/platform"
@@ -18,12 +17,7 @@ func packSpec(order []platform.VirtualSlave, n int, deadline platform.Time) *All
 		if len(selected) == n {
 			break
 		}
-		pos := sort.Search(len(selected), func(i int) bool { return selected[i].Proc < cand.Proc })
-		trial := make([]platform.VirtualSlave, 0, len(selected)+1)
-		trial = append(trial, selected[:pos]...)
-		trial = append(trial, cand)
-		trial = append(trial, selected[pos:]...)
-		if packFeasible(trial, deadline) {
+		if trial := insertByProc(selected, cand); packFeasible(trial, deadline) {
 			selected = trial
 		}
 	}

@@ -20,8 +20,8 @@ import (
 //
 // Checkpoint unwinds by panicking with a private sentinel rather than
 // threading an error return through every hot-loop signature (the
-// merge cursors, backward-growth and rewind-scan paths are the
-// allocation-floor-guarded hot code). The panic is recovered and
+// probe merge and backward-growth paths are the allocation-floor-guarded
+// hot code). The panic is recovered and
 // converted to the context's error at the owning solver's public
 // boundary (spider.Solver, core.Incremental, tree.Solver all do this);
 // Canceled is the extractor those boundaries — and the service's

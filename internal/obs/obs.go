@@ -51,13 +51,13 @@ const (
 	// PhaseDedup is plan set-up in the spider solver: computing
 	// platform.LegKey fingerprints and sharing isomorphic legs' plans.
 	PhaseDedup
-	// PhaseMerge is candidate-stream computation: the per-leg fit-count
-	// cuts (binary searches over cached emissions) that position the
-	// k-way merge's run heads for a probe.
+	// PhaseMerge is candidate-stream counting: the fit-count sums the
+	// deadline search's seeding reads (a binary search over cached
+	// emissions per distinct plan).
 	PhaseMerge
-	// PhasePack is the pack/probe loop: decision-log rewinds, the
-	// merge-join of rewound tails against grown runs, and treap
-	// admissions — everything between the fit cuts and the answer.
+	// PhasePack is the pack/probe loop: the ceiling-bounded merge and
+	// the treap admissions — everything between the fit cuts and the
+	// answer.
 	PhasePack
 	// PhaseExtract is schedule materialisation: reversing backward
 	// placements into emission order and the Lemma 3 revert of packed

@@ -198,10 +198,21 @@ func ceilRatDiv(n int, rate *big.Rat) Time {
 	return Time(quo.Int64())
 }
 
+// SteadyStateBound returns the lower bound the LowerBound methods share:
+// the larger of the steady-state bound ⌈n/rate⌉ and the best single-task
+// completion solo (every schedule must finish its last task, which
+// needs at least the fastest solo path). A solver that caches the rate
+// and solo time derives every LowerBound(n) from them with one division.
+func SteadyStateBound(n int, rate *big.Rat, solo Time) Time {
+	if n <= 0 {
+		return 0
+	}
+	return max(ceilRatDiv(n, rate), solo)
+}
+
 // LowerBound returns a valid lower bound on the optimal makespan of n
-// tasks on the chain: the larger of the steady-state bound ⌈n/X⌉ and
-// the best single-task completion time (every schedule must finish its
-// last task, which needs at least the fastest solo path).
+// tasks on the chain: SteadyStateBound over its throughput and fastest
+// solo path.
 func (ch Chain) LowerBound(n int) (Time, error) {
 	if err := ch.Validate(); err != nil {
 		return 0, err
@@ -213,11 +224,19 @@ func (ch Chain) LowerBound(n int) (Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	lb := ceilRatDiv(n, rate)
-	if _, solo := ch.BestSoloProc(); solo > lb {
-		lb = solo
+	_, solo := ch.BestSoloProc()
+	return SteadyStateBound(n, rate, solo), nil
+}
+
+// BestSolo returns the fastest single-task completion over the legs.
+func (sp Spider) BestSolo() Time {
+	solo := MaxTime
+	for _, leg := range sp.Legs {
+		if _, s := leg.BestSoloProc(); s < solo {
+			solo = s
+		}
 	}
-	return lb, nil
+	return solo
 }
 
 // LowerBound is Chain.LowerBound for spiders.
@@ -232,17 +251,7 @@ func (sp Spider) LowerBound(n int) (Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	lb := ceilRatDiv(n, rate)
-	solo := MaxTime
-	for _, leg := range sp.Legs {
-		if _, s := leg.BestSoloProc(); s < solo {
-			solo = s
-		}
-	}
-	if solo > lb {
-		lb = solo
-	}
-	return lb, nil
+	return SteadyStateBound(n, rate, sp.BestSolo()), nil
 }
 
 // LowerBound is Chain.LowerBound for forks (via the spider form).
@@ -267,11 +276,7 @@ func (t Tree) LowerBound(n int) (Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	lb := ceilRatDiv(n, rate)
-	if solo := t.bestSolo(); solo > lb {
-		lb = solo
-	}
-	return lb, nil
+	return SteadyStateBound(n, rate, t.bestSolo()), nil
 }
 
 // floorRatMul returns floor(t · rate), the steady-state cap on tasks

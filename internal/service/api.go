@@ -117,8 +117,12 @@ type Cost struct {
 	// PackProbes counts the probes that ran packing work — the
 	// expensive kind.
 	PackProbes int `json:"pack_probes,omitempty"`
-	// RewindHits counts persistent probes answered entirely from the
-	// recorded decision log.
+	// Offered counts the candidates this query's probes offered to the
+	// packer: at most n + legs per packing probe.
+	Offered int64 `json:"offered,omitempty"`
+	// RewindHits is always 0. It counted probes answered from a decision
+	// log the solver no longer keeps, and stays for clients that still
+	// read it.
 	RewindHits int `json:"rewind_hits,omitempty"`
 	// Constructed counts the backward placements built by this query —
 	// construction work that warm repeats will reuse.

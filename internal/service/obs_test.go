@@ -210,7 +210,7 @@ func TestSlowQueryLogMatchesCost(t *testing.T) {
 		fmt.Sprintf("solve_ns=%d", resp.Meta.SolveNs),
 		fmt.Sprintf("probes=%d", c.Probes),
 		fmt.Sprintf("pack_probes=%d", c.PackProbes),
-		fmt.Sprintf("rewind_hits=%d", c.RewindHits),
+		fmt.Sprintf("offered=%d", c.Offered),
 		fmt.Sprintf("constructed=%d", c.Constructed),
 	} {
 		if !strings.Contains(line, want) {

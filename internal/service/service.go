@@ -592,7 +592,7 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 		cost = &Cost{
 			Probes:      pst.Probes - e.lastStats.Probes,
 			PackProbes:  pst.PackProbes - e.lastStats.PackProbes,
-			RewindHits:  pst.RewindHits - e.lastStats.RewindHits,
+			Offered:     pst.Offered - e.lastStats.Offered,
 			Constructed: pst.Constructed - e.lastStats.Constructed,
 			PhaseNs:     phaseDelta.Map(),
 		}
@@ -642,10 +642,10 @@ func (s *Service) logSlow(q *query, resp *Response) {
 	s.slowMu.Lock()
 	defer s.slowMu.Unlock()
 	fmt.Fprintf(s.cfg.SlowLog,
-		"service: slow query kind=%s op=%s n=%d deadline=%d cache=%s memo=%t platform=%s solve_ns=%d probes=%d pack_probes=%d rewind_hits=%d constructed=%d phase_ns=%s\n",
+		"service: slow query kind=%s op=%s n=%d deadline=%d cache=%s memo=%t platform=%s solve_ns=%d probes=%d pack_probes=%d offered=%d constructed=%d phase_ns=%s\n",
 		q.key.kind, q.req.Op, q.req.N, q.req.Deadline, resp.Meta.Cache, resp.Meta.Memo,
 		resp.Meta.PlatformHash, resp.Meta.SolveNs,
-		c.Probes, c.PackProbes, c.RewindHits, c.Constructed, formatPhases(c.PhaseNs))
+		c.Probes, c.PackProbes, c.Offered, c.Constructed, formatPhases(c.PhaseNs))
 }
 
 // quarantine evicts a poisoned entry: after a solve panic the warmed

@@ -9,10 +9,11 @@ import (
 
 // TestPersistentMatchesFromScratchProbing runs the same query mix —
 // full min-makespan searches, deadline sweeps, task-count changes —
-// through the default probe-persistent path and the from-scratch
-// streaming path (SetFromScratchProbing): makespans and schedules must
-// be identical, the persistence only changes how much of the previous
-// probe's work each probe reuses.
+// through one warm solver reused across every query and through a fresh
+// solver per query: makespans and schedules must be identical, since
+// nothing a probe leaves behind (the pooled packer, its ceiling, the
+// merge order, the grown plans) may steer the next one. Every probe of
+// the warm solver must also stay within n + legs offers.
 func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -27,47 +28,44 @@ func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratch, err := NewSolver(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch.SetFromScratchProbing(true)
-
 			mkP, schP, err := persist.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkS, schS, err := scratch.MinMakespan(n)
+			mkS, schS, err := MinMakespan(sp, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mkP != mkS {
-				t.Fatalf("persistent makespan %d, from-scratch %d", mkP, mkS)
+				t.Fatalf("warm makespan %d, fresh %d", mkP, mkS)
 			}
 			if !schP.Equal(schS) {
-				t.Fatalf("schedules diverge:\npersistent: %vfrom-scratch: %v", schP, schS)
+				t.Fatalf("schedules diverge:\nwarm: %vfresh: %v", schP, schS)
 			}
-			// Warm solvers, interleaved deadline sweep and budget
-			// changes: every rewind pattern — repeats, shrinks, grows,
-			// resets — must stay schedule-identical.
+			// Interleaved deadline sweep and budget changes: repeats,
+			// shrinks, grows.
 			for _, m := range []int{n, max(1, n/2), n + 3, n} {
 				for deadline := platform.Time(0); deadline <= mkP+5; deadline += max(1, mkP/5) {
+					before := persist.Stats().Offered
 					a, err := persist.MaxTasks(m, deadline)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := scratch.MaxTasks(m, deadline)
+					if off := persist.Stats().Offered - before; off > int64(m+sp.NumLegs()) {
+						t.Fatalf("m=%d deadline=%d: %d offers, want ≤ n + legs = %d", m, deadline, off, m+sp.NumLegs())
+					}
+					b, err := MaxTasks(sp, m, deadline)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if a != b {
-						t.Fatalf("m=%d deadline=%d: persistent admits %d, from-scratch %d", m, deadline, a, b)
+						t.Fatalf("m=%d deadline=%d: warm admits %d, fresh %d", m, deadline, a, b)
 					}
 					sa, err := persist.ScheduleWithin(m, deadline)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sb, err := scratch.ScheduleWithin(m, deadline)
+					sb, err := ScheduleWithin(sp, m, deadline)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -81,8 +79,10 @@ func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 }
 
 // TestPersistentMatchesFromScratchWide is the same identity on a wide
-// platform — the E5p regime where probe persistence exists to win and
-// where a rewind bug would be invisible to small randomized trials.
+// platform, where the ceiling retires most legs and a merge bug would be
+// invisible to small randomized trials: a warm solver's min-makespan
+// search and deadline sweep against fresh solvers and the slice-packing
+// oracle, within n + legs offers per packing probe.
 func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide-platform equivalence skipped in -short mode")
@@ -95,22 +95,22 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := NewSolver(sp)
+	slice, err := NewSolver(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch.SetFromScratchProbing(true)
+	slice.SetSlicePacking(true)
 
 	mkP, schP, err := persist.MinMakespan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkS, schS, err := scratch.MinMakespan(n)
+	mkS, schS, err := slice.MinMakespan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mkP != mkS {
-		t.Fatalf("persistent makespan %d, from-scratch %d", mkP, mkS)
+		t.Fatalf("ceiling makespan %d, slice %d", mkP, mkS)
 	}
 	if !schP.Equal(schS) {
 		t.Fatal("wide-platform schedules diverge")
@@ -118,9 +118,28 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if err := schP.Verify(); err != nil {
 		t.Fatalf("wide-platform schedule infeasible: %v", err)
 	}
-	st := persist.Stats()
-	if st.PackProbes == 0 || st.Reoffered == 0 {
-		t.Fatalf("persistent path did not run: %+v", st)
+	for _, deadline := range []platform.Time{mkP / 2, mkP - 3, mkP - 1, mkP, mkP + 7} {
+		warm, err := persist.ScheduleWithin(n, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ScheduleWithin(sp, n, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Equal(fresh) {
+			t.Fatalf("deadline %d: warm and fresh schedules diverge", deadline)
+		}
+	}
+	st, ss := persist.Stats(), slice.Stats()
+	if st.PackProbes == 0 || st.Offered == 0 {
+		t.Fatalf("ceiling path did not run: %+v", st)
+	}
+	if bound := int64(st.PackProbes) * int64(n+sp.NumLegs()); st.Offered > bound {
+		t.Fatalf("%d offers over %d packing probes, want ≤ %d", st.Offered, st.PackProbes, bound)
+	}
+	if st.Offered >= ss.Offered {
+		t.Fatalf("ceiling path offered %d candidates, slice path streamed %d", st.Offered, ss.Offered)
 	}
 }
 
@@ -173,32 +192,9 @@ func TestTwoSidedSeedingReducesProbes(t *testing.T) {
 			t.Errorf("legs=%d n=%d: seeded search ran %d probes, unseeded %d — want a strict drop",
 				tc.legs, tc.n, a.Probes, b.Probes)
 		}
-
-		// The packing-probe drop is asserted on the from-scratch path,
-		// where every probe packs: in persistent mode the decision log
-		// absorbs probes on both sides (RewindHits), so PackProbes no
-		// longer measures search length there.
-		seededFS, err := NewSolver(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seededFS.SetFromScratchProbing(true)
-		unseededFS, err := NewSolver(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unseededFS.SetFromScratchProbing(true)
-		unseededFS.SetTwoSidedSeeding(false)
-		if _, _, err := seededFS.MinMakespan(tc.n); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := unseededFS.MinMakespan(tc.n); err != nil {
-			t.Fatal(err)
-		}
-		af, bf := seededFS.Stats(), unseededFS.Stats()
-		if af.PackProbes >= bf.PackProbes {
-			t.Errorf("legs=%d n=%d: seeded from-scratch search ran %d packing probes, unseeded %d — want a strict drop",
-				tc.legs, tc.n, af.PackProbes, bf.PackProbes)
+		if a.PackProbes >= b.PackProbes {
+			t.Errorf("legs=%d n=%d: seeded search ran %d packing probes, unseeded %d — want a strict drop",
+				tc.legs, tc.n, a.PackProbes, b.PackProbes)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // deterministic function of its leg's (c, w) sequence. Exporting them
 // keyed by platform.LegKey and re-importing into a fresh solver (same
 // spider or ANY spider containing the same leg shapes) skips the
-// construction entirely; the probe-side state (persistent packer,
-// merge cursors, memo) is deliberately not exported — it is cheap to
-// rebuild and worthless across platforms.
+// construction entirely; the probe-side state (pooled packer, merge
+// order, memo) is deliberately not exported — it is cheap to rebuild
+// and worthless across platforms.
 
 // PlanExport is one distinct leg plan's constructed backward sequence,
 // keyed by the leg's injective platform.LegKey encoding. The Backward

@@ -34,25 +34,43 @@
 //     fitting within T are exactly the backward prefix whose shifted
 //     emissions stay non-negative, found by galloping/binary search.
 //
-// Each deadline probe then costs a binary search over cached emissions
-// plus one fork packing, instead of rebuilding the chain schedules; the
-// per-leg construction itself is paid once, amortised over all probes,
-// and independent legs are grown in parallel worker goroutines with a
+// Each deadline probe then costs one fork packing over cached
+// emissions, instead of rebuilding the chain schedules; the per-leg
+// construction itself is paid once, amortised over all probes, and
+// independent legs are grown in parallel worker goroutines with a
 // deterministic merge (each leg owns its slot; results are read in leg
 // order). The solver produces schedules identical to the reference
 // path — not merely equal makespans — because the virtual-slave
 // multiset it feeds the deterministic packing is the same.
+//
+// # The probe
+//
+// Every leg contributes a run of virtual slaves with one Comm (its
+// c_1) and strictly increasing Proc, and the fork greedy scans all runs
+// in ascending (Comm, Proc, leg) order. The packer's ceiling lemma
+// (fork.Packer) says that once the greedy rejects some Proc, it rejects
+// every later candidate at or above it. So the probe merges the runs
+// lazily and retires a leg at its first rejection, or as soon as its
+// next candidate reaches the ceiling: a probe offers at most n + legs
+// candidates, however long the runs are. The merge walks the legs in a
+// deadline-independent order (by c_1, then by the Proc of the leg's
+// first candidate), so a leg enters the merge only once its first
+// candidate is due, and the probe ends once the ceiling sits at or
+// below every remaining leg's first candidate.
 package spider
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/fork"
 	"repro/internal/obs"
@@ -65,8 +83,9 @@ import (
 // task at backward index j is Proc = Tlim − C_1 − c_1 where C_1 =
 // emission(j) + Tlim, so Proc = −emission(j) − c_1 for any deadline.
 type legPlan struct {
-	inc *core.Incremental
-	c1  platform.Time
+	inc  *core.Incremental
+	c1   platform.Time
+	mult int // legs sharing this plan
 }
 
 // fit returns how many of at most n tasks this leg completes within the
@@ -75,11 +94,10 @@ func (lp *legPlan) fit(n int, deadline platform.Time) int {
 	return lp.inc.FitWithin(n, deadline)
 }
 
-// task returns the emission-order task at rank i of this leg's k-task
-// plan for the deadline: backward placement k−1−i shifted into absolute
-// times.
-func (lp *legPlan) task(k, i int, deadline platform.Time) sched.ChainTask {
-	return lp.inc.Backward(k - 1 - i).Shifted(deadline)
+// proc returns the §7 promise of the task at backward index j: the
+// virtual slave's deadline-independent processing time.
+func (lp *legPlan) proc(j int) platform.Time {
+	return -lp.inc.Emission(j) - lp.c1
 }
 
 // Solver answers repeated scheduling queries on one spider, reusing the
@@ -102,40 +120,36 @@ type Solver struct {
 	plans    []*legPlan
 	dedupOff bool
 
-	vbuf []platform.VirtualSlave // slice-packing probe scratch, admission order
-	kbuf []int                   // reused per-leg fit counts
-	cbuf []legCursor             // reused merge heap (from-scratch paths)
+	// order lists every leg by (c_1, Proc of its first candidate, leg)
+	// and groups splits it into runs of equal c_1; both are
+	// deadline-independent and built once, by buildOrder, on the first
+	// probe. heap is the per-group merge scratch and packer the pooled
+	// ceiling packer, Reset per probe.
+	order  []mergeHead
+	groups []commGroup
+	heap   []mergeHead
+	packer *fork.Packer
 
-	// Probe-persistent state (the default probing mode): the packer
-	// whose decision log survives across deadline probes, the tournament
-	// merge whose leg cursors survive with it, the fit counts of the
-	// recorded probe, and the per-leg retained counts Rewind reports.
-	pp       *fork.ProbePacker
-	lt       *loserTree
-	kprev    []int
-	consumed []int
-	grown    []mergeLeaf // probe scratch: grown runs' added-range cursors
-
-	// scratch is the pooled packer of the from-scratch streaming path,
-	// Reset instead of reallocated per probe.
-	scratch *fork.Packer
-
-	// slicePack routes probes through the materialised vbuf +
-	// fork.PackSorted path instead of streaming the merge into the tree
-	// packer; see SetSlicePacking.
+	// slicePack routes probes through the materialise-and-PackSorted
+	// oracle path; see SetSlicePacking. vbuf is its stream scratch.
 	slicePack bool
-	// scratchProbe routes probes through the PR 3-era from-scratch
-	// streaming path; see SetFromScratchProbing.
-	scratchProbe bool
+	vbuf      []platform.VirtualSlave
 	// seed2off disables the two-sided deadline-search seeding; see
 	// SetTwoSidedSeeding.
 	seed2off bool
+
+	// rate and solo are the spider's steady-state throughput and best
+	// single-task completion, computed once by lowerBound (rateErr
+	// caches a failure).
+	rate    *big.Rat
+	solo    platform.Time
+	rateErr error
 
 	stats ProbeStats
 
 	// trace, when non-nil, receives per-phase wall times: plan growth
 	// under obs.PhaseConstruct (via the plans' core.Incremental hooks),
-	// plan set-up under obs.PhaseDedup, per-leg fit cuts under
+	// plan set-up under obs.PhaseDedup, fit-count sums under
 	// obs.PhaseMerge, the probe body under obs.PhasePack and the
 	// Lemma 3 revert under obs.PhaseExtract. Nil (the default) keeps
 	// the hot path at one pointer compare per phase boundary — the
@@ -144,10 +158,9 @@ type Solver struct {
 	trace *obs.SolveTrace
 	// cancel, when non-nil, is the cooperative cancellation checkpoint
 	// the solve loops poll: once per deadline probe (fits), at stride
-	// inside the merge and drain loops, and — via propagation to the
-	// distinct leg plans and the persistent packer — inside the backward
-	// growth and rewind scans. Nil (the default) keeps every hot loop at
-	// one pointer compare, the same floor as the trace hooks.
+	// inside the merge, and — via propagation to the distinct leg plans
+	// — inside the backward growth. Nil (the default) keeps every hot
+	// loop at one pointer compare, the same floor as the trace hooks.
 	cancel *obs.CancelCheck
 
 	// buildNs is buildPlans' wall time (leg-key dedup + plan set-up),
@@ -170,26 +183,23 @@ type Solver struct {
 }
 
 // ProbeStats is the solver's cumulative deadline-search telemetry; the
-// E5p ablation and the msbench -json probes-per-solve column read it.
+// E5p experiment, the offer-count gate and the msbench -json
+// probes-per-solve column read it.
 type ProbeStats struct {
 	// Solves counts MinMakespan searches.
 	Solves int
 	// Probes counts feasibility probes (fits evaluations).
 	Probes int
 	// PackProbes counts probes that actually ran packing work — the
-	// expensive kind; the rest were settled by fit-count sums alone or
-	// entirely from the recorded decision log (RewindHits).
+	// expensive kind; the rest were settled by fit-count sums alone.
 	PackProbes int
 	// CountChecks counts pure fit-count evaluations: sum-of-fits
 	// shortcut rejections and the seeding's bound search.
 	CountChecks int
-	// RewindHits counts persistent probes answered entirely from the
-	// recorded decision log — no merge, no packing work at all.
-	RewindHits int
-	// Reoffered counts candidates offered to the persistent packer
-	// after a rewind (the from-scratch paths re-offer every candidate,
-	// every probe; this is the persistent loop's total).
-	Reoffered int64
+	// Offered counts candidates offered to the packer: at most n + legs
+	// per probe on the ceiling path, the whole materialised candidate
+	// stream per probe on the slice-packing oracle path.
+	Offered int64
 	// Constructed counts the backward placements built across the
 	// solver's distinct leg plans — the paid construction work, read at
 	// snapshot time. Chain solvers report their single plan's length
@@ -225,10 +235,9 @@ func (s *Solver) SetTrace(t *obs.SolveTrace) {
 
 // SetCancel attaches (or, with nil, detaches) the cancellation
 // checkpoint the solve loops poll, propagating it to every distinct
-// leg plan and to the persistent packer. With a checkpoint attached, a
-// dead context unwinds the solve: MinMakespan, MaxTasks and
-// ScheduleWithin return the context's error, and the probe-persistent
-// state plus the prepared-growth marks are abandoned (the leg plans
+// leg plan. With a checkpoint attached, a dead context unwinds the
+// solve: MinMakespan, MaxTasks and ScheduleWithin return the context's
+// error, and the prepared-growth marks are abandoned (the leg plans
 // keep their — still valid — partial growth, so the next solve
 // re-probes warm). Attach between queries only; the checkpoint itself
 // is safe for the parallel growth workers.
@@ -237,18 +246,14 @@ func (s *Solver) SetCancel(c *obs.CancelCheck) {
 	for _, lp := range s.plans {
 		lp.inc.SetCancel(c)
 	}
-	if s.pp != nil {
-		s.pp.SetCancel(c)
-	}
 }
 
 // solveBoundary is the deferred recovery point of the public solve
 // methods: it converts a cancellation checkpoint unwind into the
 // context error it carries (re-panicking anything else) and, whenever
-// a solve ends in an error with a dead context, abandons the
-// probe-persistent state — a probe stopped mid-stream leaves the
-// decision log, merge cursors and consumed counts out of step with
-// one another, and the growth marks may promise growth that never ran.
+// a solve ends in an error with a dead context, drops the growth marks,
+// which may promise growth that never ran. Probe state needs no reset:
+// every probe starts from a Reset packer.
 func (s *Solver) solveBoundary(err *error) {
 	if r := recover(); r != nil {
 		ce, ok := obs.Canceled(r)
@@ -258,7 +263,6 @@ func (s *Solver) solveBoundary(err *error) {
 		*err = ce
 	}
 	if *err != nil && s.cancel.Err() != nil {
-		s.pp, s.lt = nil, nil
 		s.prepN, s.prepDeadline = 0, 0
 	}
 }
@@ -291,6 +295,7 @@ func (s *Solver) buildPlans() error {
 		if shared != nil {
 			key = platform.LegKey(leg)
 			if lp := shared[key]; lp != nil {
+				lp.mult++
 				s.legs[b] = lp
 				continue
 			}
@@ -299,7 +304,7 @@ func (s *Solver) buildPlans() error {
 		if err != nil {
 			return fmt.Errorf("spider: leg %d: %w", b, err)
 		}
-		lp := &legPlan{inc: inc, c1: leg.Comm(1)}
+		lp := &legPlan{inc: inc, c1: leg.Comm(1), mult: 1}
 		s.legs[b] = lp
 		s.plans = append(s.plans, lp)
 		if shared != nil {
@@ -316,10 +321,10 @@ func (s *Solver) buildPlans() error {
 
 // SetLegDedup toggles (default on) the isomorphic-leg plan sharing.
 // Off rebuilds one independent plan per leg — the pre-dedup cold path —
-// discarding all memoized growth and the probe-persistent state. The
-// schedules are identical either way (a plan is a pure function of its
-// chain); the knob exists for that assertion and for the E6 ablation
-// that measures what dedup buys on duplicate-heavy platforms.
+// discarding all memoized growth. The schedules are identical either
+// way (a plan is a pure function of its chain); the knob exists for
+// that assertion and for the E6 ablation that measures what dedup buys
+// on duplicate-heavy platforms.
 func (s *Solver) SetLegDedup(on bool) {
 	if s.dedupOff == !on {
 		return
@@ -330,13 +335,11 @@ func (s *Solver) SetLegDedup(on bool) {
 		// fail on the same legs afterwards.
 		panic(fmt.Sprintf("spider: rebuilding leg plans: %v", err))
 	}
-	// The old plans — and every probe structure holding pointers into
-	// them — are gone; drop the memo marks and persistent probe state so
-	// the next probe rebuilds from the fresh plans, and re-attach the
-	// trace to them (flushing the rebuild's set-up cost).
+	// The old plans are gone; drop the memo marks so the next probe
+	// grows the fresh plans, and re-attach the trace to them (flushing
+	// the rebuild's set-up cost). The merge order names legs, not plans,
+	// so it stays valid.
 	s.prepN, s.prepDeadline = 0, 0
-	s.pp, s.lt = nil, nil
-	s.scratch = nil
 	s.SetTrace(s.trace)
 	s.SetCancel(s.cancel)
 }
@@ -428,297 +431,152 @@ func growPlan(lp *legPlan, n int, deadline platform.Time) (err error) {
 	return nil
 }
 
-// legCursor walks one leg's candidate run during the admission-order
-// merge. Within a leg, ascending backward index j means strictly
-// ascending Proc (emissions strictly decrease) at constant Comm, so
-// each run is already sorted under the admission order; Rank is the
-// emission index k−1−j the reference path would assign.
-type legCursor struct {
-	lp  *legPlan
-	leg int
-	k   int
-	j   int
-	cur platform.VirtualSlave
+// mergeHead is one leg's next candidate in the probe merge: its Proc,
+// the leg, and its backward index j. Within a leg, ascending j means
+// strictly ascending Proc at constant Comm, so each run is already
+// sorted under the admission order, and across legs of one Comm the
+// order is (Proc, leg).
+type mergeHead struct {
+	proc platform.Time
+	leg  int32
+	j    int32
 }
 
-func (c *legCursor) load() {
-	c.cur = platform.VirtualSlave{
-		Comm: c.lp.c1,
-		Proc: -c.lp.inc.Emission(c.j) - c.lp.c1,
-		Leg:  c.leg,
-		Rank: c.k - 1 - c.j,
-	}
+func (a mergeHead) less(b mergeHead) bool {
+	return a.proc < b.proc || (a.proc == b.proc && a.leg < b.leg)
 }
 
-// SetSlicePacking routes every subsequent probe through the legacy
-// materialise-and-PackSorted path — the full k-way merged virtual-slave
-// slice is rebuilt per probe and packed by the slice-based packer —
-// instead of streaming the merge into the balanced-tree packer. The two
-// paths produce identical schedules (the equivalence tests assert it);
-// the knob exists for that assertion and for the E5w ablation that
-// measures what the streaming tree packer buys on wide platforms.
-func (s *Solver) SetSlicePacking(on bool) { s.slicePack = on }
+// commGroup is the run order[start:end] of legs sharing one c_1, with
+// sufMin the lowest first-candidate Proc over this group and every
+// later one.
+type commGroup struct {
+	comm       platform.Time
+	start, end int
+	sufMin     platform.Time
+}
 
-// SetFromScratchProbing routes every subsequent probe through the
-// PR 3-era streaming path: a fresh heap merge over every leg cursor and
-// a freshly packed treap per probe, instead of the probe-persistent
-// packer and tournament merge. The paths produce identical schedules
-// (the equivalence tests assert it); the knob exists for that assertion
-// and for the E5p ablation that measures what probe persistence buys.
-// SetSlicePacking takes precedence when both are set.
-func (s *Solver) SetFromScratchProbing(on bool) { s.scratchProbe = on }
-
-// SetTwoSidedSeeding toggles (default on) the two-sided deadline-search
-// seeding of MinMakespan: the sum-of-fits lower-bound tightening and
-// the galloping feasible-upper-bound discovery. Off reverts to the PR 2
-// search (steady-state lower bound, master-only upper bound). The
-// converged optimum is identical either way — both bounds are proven —
-// which the equivalence tests assert; the knob exists for them and for
-// the probe-count telemetry comparison.
-func (s *Solver) SetTwoSidedSeeding(on bool) { s.seed2off = !on }
-
-// legCounts fills the per-leg fit counts for the deadline and returns
-// them along with their sum (the merged candidate total). The returned
-// slice is the solver's scratch buffer, valid until the next probe.
-func (s *Solver) legCounts(n int, deadline platform.Time) ([]int, int) {
-	var t0 time.Time
-	if s.trace != nil {
-		t0 = time.Now()
-	}
-	if s.kbuf == nil {
-		s.kbuf = make([]int, len(s.legs))
-	}
-	ks, total := s.kbuf, 0
+// buildOrder sorts the legs by (c_1, Proc at backward index 0, leg) and
+// splits them into Comm groups. It reads only backward index 0, which
+// every plan holds once prepare has run for n ≥ 1.
+func (s *Solver) buildOrder() {
+	order := make([]mergeHead, len(s.legs))
 	for b, lp := range s.legs {
-		ks[b] = lp.fit(n, deadline)
-		total += ks[b]
+		order[b] = mergeHead{proc: lp.proc(0), leg: int32(b)}
 	}
-	s.trace.ObserveSince(obs.PhaseMerge, t0)
-	return ks, total
-}
-
-// merge streams the per-leg candidate runs in admission order into
-// emit, stopping early when emit returns false — the k-way merge of the
-// reference path's sorted multiset, produced lazily so consumers that
-// terminate early (the tree packer once n tasks are admitted) never pay
-// for the tail. ks are the per-leg run lengths from legCounts.
-func (s *Solver) merge(ks []int, emit func(platform.VirtualSlave) bool) {
-	s.cbuf = s.cbuf[:0]
-	for b, k := range ks {
-		if k > 0 {
-			c := legCursor{lp: s.legs[b], leg: b, k: k}
-			c.load()
-			s.cbuf = append(s.cbuf, c)
+	slices.SortFunc(order, func(a, b mergeHead) int {
+		if c := cmp.Compare(s.legs[a.leg].c1, s.legs[b.leg].c1); c != 0 {
+			return c
 		}
-	}
-	// Binary min-heap of cursors keyed by the admission order.
-	h := s.cbuf
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		s.cancel.Checkpoint()
-		if !emit(h[0].cur) {
-			return
+		if a.less(b) {
+			return -1
 		}
-		if h[0].j++; h[0].j < h[0].k {
-			h[0].load()
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-}
-
-// slicePackProbe is the legacy materialise-and-PackSorted probe: the
-// full k-way merged slice is rebuilt and packed from scratch.
-func (s *Solver) slicePackProbe(n int, deadline platform.Time, ks []int) (*fork.Allocation, error) {
-	s.stats.PackProbes++
-	s.vbuf = s.vbuf[:0]
-	s.merge(ks, func(v platform.VirtualSlave) bool {
-		s.vbuf = append(s.vbuf, v)
-		return true
+		return 1
 	})
-	return fork.PackSorted(s.vbuf, n, deadline)
+	var groups []commGroup
+	for i, h := range order {
+		if c := s.legs[h.leg].c1; len(groups) == 0 || groups[len(groups)-1].comm != c {
+			groups = append(groups, commGroup{comm: c, start: i})
+		}
+		groups[len(groups)-1].end = i + 1
+	}
+	suf := platform.Time(math.MaxInt64)
+	for g := len(groups) - 1; g >= 0; g-- {
+		suf = min(suf, order[groups[g].start].proc)
+		groups[g].sufMin = suf
+	}
+	s.order, s.groups = order, groups
 }
 
-// scratchStreamProbe is the PR 3 streaming probe: a heap merge feeds a
-// per-probe packing that stops as soon as n tasks are admitted. The
-// packer itself is pooled (Reset, not reallocated) across probes.
-func (s *Solver) scratchStreamProbe(n int, deadline platform.Time, ks []int) (*fork.Packer, error) {
+// pack runs one deadline probe on the ceiling path: the legs' candidate
+// runs merge in admission order into the pooled packer, which stops at
+// n admissions. Candidates carry their backward index in Rank. A leg
+// leaves the merge at its first rejection or once its next candidate
+// reaches the packer's ceiling, and the probe ends once the ceiling sits
+// at or below every remaining group's first candidate (see the package
+// doc), so it makes at most n + legs offers.
+func (s *Solver) pack(n int, deadline platform.Time) (*fork.Packer, error) {
 	s.stats.PackProbes++
-	if s.scratch == nil {
-		p, err := fork.NewPacker(n, deadline)
-		if err != nil {
-			return nil, err
-		}
-		s.scratch = p
-	} else if err := s.scratch.Reset(n, deadline); err != nil {
+	if s.packer == nil {
+		s.packer = &fork.Packer{}
+	}
+	p := s.packer
+	if err := p.Reset(n, deadline); err != nil {
 		return nil, err
 	}
-	p := s.scratch
-	s.merge(ks, func(v platform.VirtualSlave) bool {
-		p.Offer(v)
-		return !p.Full()
-	})
+	if p.Full() {
+		return p, nil
+	}
+	if s.order == nil {
+		s.buildOrder()
+	}
+	for _, g := range s.groups {
+		if p.Full() || min(p.Ceiling()-1, deadline-g.comm) < g.sufMin {
+			break
+		}
+		s.packGroup(p, g, n, deadline)
+	}
 	return p, nil
 }
 
-// persistentProbe is the default probe: the recorded decision log of
-// the previous probe is rewound to its first divergence — the earliest
-// decision flip or candidate-stream change for the new deadline — and
-// only the suffix is re-decided. The re-decided stretch is not even
-// re-merged from the leg cursors: the rewound tail already lists the
-// old stream in admission order, so the resume joins it against a
-// small heap over just the grown runs' added candidates, and the full
-// tournament merge takes over only past the tail's end (which exists
-// only when the recorded run stopped on a filled budget). The admitted
-// set is provably identical to a from-scratch run, which the
-// equivalence ladder and fuzz tests assert.
-func (s *Solver) persistentProbe(n int, deadline platform.Time, ks []int) error {
-	if s.pp == nil {
-		s.pp = fork.NewProbePacker()
-		s.pp.SetCancel(s.cancel)
-		s.lt = newLoserTree(s.legs)
-		s.kprev = make([]int, len(s.legs))
-		s.consumed = make([]int, len(s.legs))
-	}
-	// The earliest candidate at which the new stream differs from the
-	// recorded one: per leg, runs extend (or shrink) at the backward
-	// index where the fit counts diverge, at constant Comm with strictly
-	// ascending Proc — so the overall earliest is the admission-order
-	// minimum over the changed legs. Grown legs also contribute their
-	// added range [kprev, ks) as a resume cursor.
-	var change *platform.VirtualSlave
-	var cv platform.VirtualSlave
-	grown := s.grown[:0]
-	// Any recorded run joins, regardless of its task budget: the decision
-	// log is budget-independent (Rewind re-cuts it for the new n), so a
-	// warm solver asked about n±δ extends or trims the recorded run
-	// instead of re-packing from scratch.
-	_, recOK := s.pp.Recorded()
-	joined := recOK
-	if joined {
-		for b, lp := range s.legs {
-			if ks[b] == s.kprev[b] {
+// packGroup merges one Comm group into the packer. The run of a leg at
+// this deadline is its candidates with j < n and Comm + Proc ≤ deadline
+// (the leg's fit count), so run ends are tested per candidate and no
+// fit count is computed. Legs enter a small heap lazily, in
+// first-candidate order, once their first candidate is due.
+func (s *Solver) packGroup(p *fork.Packer, g commGroup, n int, deadline platform.Time) {
+	h, next := s.heap[:0], g.start
+	for !p.Full() {
+		// lim is the largest Proc still worth offering: within the
+		// leg's run, and below the ceiling.
+		lim := min(p.Ceiling()-1, deadline-g.comm)
+		for next < g.end && s.order[next].proc <= lim && (len(h) == 0 || s.order[next].less(h[0])) {
+			h = append(h, s.order[next])
+			siftUp(h, len(h)-1)
+			next++
+		}
+		if len(h) == 0 || h[0].proc > lim {
+			break
+		}
+		s.cancel.Checkpoint()
+		s.stats.Offered++
+		top := &h[0]
+		if p.Offer(platform.VirtualSlave{Comm: g.comm, Proc: top.proc, Leg: int(top.leg), Rank: int(top.j)}) {
+			if top.j++; int(top.j) < n {
+				// The admitted candidate was within the run, so the plan
+				// holds index j: prepare grew it past the run's end.
+				top.proc = s.legs[top.leg].proc(int(top.j))
+				siftDown(h, 0)
 				continue
 			}
-			j := min(ks[b], s.kprev[b])
-			v := platform.VirtualSlave{Comm: lp.c1, Proc: -lp.inc.Emission(j) - lp.c1, Leg: b, Rank: j}
-			if change == nil || platform.CompareVirtualSlaves(v, cv) < 0 {
-				cv, change = v, &cv
-			}
-			if ks[b] > s.kprev[b] {
-				lf := mergeLeaf{lp: lp, leg: b, j: s.kprev[b], k: ks[b]}
-				lf.load()
-				grown = append(grown, lf)
-			}
 		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
 	}
-	done, _, err := s.pp.Rewind(n, deadline, change, s.consumed)
-	if err != nil {
-		s.grown = grown
-		return err
-	}
-	switch {
-	case done:
-		// Settled entirely from the recorded decisions: not a packing
-		// probe — no merge, no treap work ran.
-		s.stats.RewindHits++
-	case !joined:
-		// No matching recorded run: plain full merge from scratch.
-		s.stats.PackProbes++
-		s.lt.adjust(s.consumed, ks)
-		s.drainMerge()
-	default:
-		s.stats.PackProbes++
-		// Phase 1: join the rewound tail (the old stream, in admission
-		// order) against the grown runs' added candidates. Tail entries
-		// of shrunken runs are dropped; the rest mostly settle by their
-		// recorded bounds without touching the treap or any cursor.
-		for i := len(grown)/2 - 1; i >= 0; i-- {
-			siftDown(grown, i)
-		}
-		for !s.pp.Full() {
-			s.cancel.Checkpoint()
-			tv, tok := s.pp.TailPeek()
-			if !tok && s.pp.TailWasFull() {
-				// The tail is spent but the recorded run had stopped on a
-				// filled budget, so the old stream continues past it with
-				// candidates the log never saw — candidates that sort
-				// before the remaining grown entries (a grown candidate
-				// follows every old candidate of its leg). Draining grown
-				// here would break admission order; the tournament below
-				// resumes every leg from its consumed position and covers
-				// both in order. Unreachable with n fixed (grown non-empty
-				// implies a deadline raise, whose replays fill the budget
-				// before the tail spends), live under cross-n raises.
-				break
-			}
-			if tok && tv.Rank >= ks[tv.Leg] {
-				s.pp.TailDrop()
-				continue
-			}
-			if tok && (len(grown) == 0 || platform.CompareVirtualSlaves(tv, grown[0].cur) < 0) {
-				s.pp.TailReplay()
-				s.consumed[tv.Leg]++
-				s.stats.Reoffered++
-				continue
-			}
-			if len(grown) == 0 {
-				break
-			}
-			g := &grown[0]
-			s.pp.Offer(g.cur)
-			s.consumed[g.leg]++
-			s.stats.Reoffered++
-			if g.j++; g.j < g.k {
-				g.load()
-			} else {
-				grown[0] = grown[len(grown)-1]
-				grown = grown[:len(grown)-1]
-			}
-			siftDown(grown, 0)
-		}
-		// Phase 2: the recorded run stopped on a filled budget, so the
-		// stream continues past the tail's end — the full tournament
-		// takes over from the consumed positions.
-		if !s.pp.Full() && s.pp.TailWasFull() {
-			s.lt.adjust(s.consumed, ks)
-			s.drainMerge()
-		}
-	}
-	s.grown = grown[:0]
-	copy(s.kprev, ks)
-	return nil
+	s.heap = h
 }
 
-// drainMerge streams the tournament merge into the persistent packer
-// until the budget fills or the cursors exhaust.
-func (s *Solver) drainMerge() {
-	for !s.pp.Full() {
-		s.cancel.Checkpoint()
-		v, ok := s.lt.next()
-		if !ok {
+// siftUp restores the min-heap order above index i.
+func siftUp(h []mergeHead, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
 			return
 		}
-		s.pp.Offer(v)
-		s.stats.Reoffered++
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
 }
 
-// siftDown restores the min-heap order (ascending admission order of
-// the loaded candidates) below index i; shared by the legacy merge
-// heap and the grown-run cursor heap.
-func siftDown[T interface{ candidate() platform.VirtualSlave }](h []T, i int) {
+// siftDown restores the min-heap order below index i.
+func siftDown(h []mergeHead, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		least := i
-		if l < len(h) && platform.CompareVirtualSlaves(h[l].candidate(), h[least].candidate()) < 0 {
+		if l < len(h) && h[l].less(h[least]) {
 			least = l
 		}
-		if r < len(h) && platform.CompareVirtualSlaves(h[r].candidate(), h[least].candidate()) < 0 {
+		if r < len(h) && h[r].less(h[least]) {
 			least = r
 		}
 		if least == i {
@@ -729,67 +587,78 @@ func siftDown[T interface{ candidate() platform.VirtualSlave }](h []T, i int) {
 	}
 }
 
-func (c legCursor) candidate() platform.VirtualSlave { return c.cur }
+// SetSlicePacking routes every subsequent probe through the oracle
+// path: every leg's run is materialised from its fit count, sorted into
+// admission order and packed by the slice-based fork.PackSorted, with
+// no ceiling and no merge. Both paths produce identical schedules (the
+// equivalence tests assert it); the knob exists for that assertion and
+// for the E5p and E5w experiments that compare the two.
+func (s *Solver) SetSlicePacking(on bool) { s.slicePack = on }
 
-// probeCount runs one deadline probe and returns the number of admitted
-// tasks, skipping allocation materialisation on the streaming paths.
-func (s *Solver) probeCount(n int, deadline platform.Time, ks []int) (int, error) {
+// SetTwoSidedSeeding toggles (default on) the two-sided deadline-search
+// seeding of MinMakespan: the sum-of-fits lower-bound tightening and
+// the galloping feasible-upper-bound discovery. Off reverts to the PR 2
+// search (steady-state lower bound, master-only upper bound). The
+// converged optimum is identical either way — both bounds are proven —
+// which the equivalence tests assert; the knob exists for them and for
+// the probe-count telemetry comparison.
+func (s *Solver) SetTwoSidedSeeding(on bool) { s.seed2off = !on }
+
+// countFits returns the sum of the per-leg fit counts for the deadline
+// — the length of the probe's candidate stream — evaluating each
+// distinct plan once.
+func (s *Solver) countFits(n int, deadline platform.Time) int {
 	var t0 time.Time
 	if s.trace != nil {
 		t0 = time.Now()
-		defer s.trace.ObserveSince(obs.PhasePack, t0)
 	}
-	if s.slicePack {
-		alloc, err := s.slicePackProbe(n, deadline, ks)
-		if err != nil {
-			return 0, err
-		}
-		return alloc.Len(), nil
+	total := 0
+	for _, lp := range s.plans {
+		total += lp.mult * lp.fit(n, deadline)
 	}
-	if s.scratchProbe {
-		p, err := s.scratchStreamProbe(n, deadline, ks)
-		if err != nil {
-			return 0, err
-		}
-		return p.Len(), nil
-	}
-	if err := s.persistentProbe(n, deadline, ks); err != nil {
-		return 0, err
-	}
-	return s.pp.Len(), nil
+	s.trace.ObserveSince(obs.PhaseMerge, t0)
+	return total
 }
 
-// probeAlloc runs one deadline probe and returns the materialised
-// allocation. The persistent path's candidates carry the deadline-
-// independent backward index in Rank (so logged candidates stay
-// comparable across probes); materialisation translates them back to
-// the emission rank k−1−j every other path uses, so the allocation —
-// and hence the reverted schedule — is identical across all paths.
-func (s *Solver) probeAlloc(n int, deadline platform.Time, ks []int) (*fork.Allocation, error) {
+// slicePackProbe is the oracle probe: the full candidate stream is
+// materialised, sorted and packed from scratch by the slice packer.
+func (s *Solver) slicePackProbe(n int, deadline platform.Time) (*fork.Allocation, error) {
+	s.stats.PackProbes++
+	s.vbuf = s.vbuf[:0]
+	for b, lp := range s.legs {
+		for j, k := 0, lp.fit(n, deadline); j < k; j++ {
+			s.vbuf = append(s.vbuf, platform.VirtualSlave{Comm: lp.c1, Proc: lp.proc(j), Leg: b, Rank: j})
+		}
+	}
+	s.stats.Offered += int64(len(s.vbuf))
+	platform.SortVirtualSlaves(s.vbuf)
+	return fork.PackSorted(s.vbuf, n, deadline)
+}
+
+// probe runs one deadline probe and returns the number of admitted
+// tasks, materialising the allocation only when alloc is set. In the
+// allocation, Rank is each admitted candidate's backward index.
+func (s *Solver) probe(n int, deadline platform.Time, alloc bool) (int, *fork.Allocation, error) {
 	var t0 time.Time
 	if s.trace != nil {
 		t0 = time.Now()
 		defer s.trace.ObserveSince(obs.PhasePack, t0)
 	}
 	if s.slicePack {
-		return s.slicePackProbe(n, deadline, ks)
-	}
-	if s.scratchProbe {
-		p, err := s.scratchStreamProbe(n, deadline, ks)
+		a, err := s.slicePackProbe(n, deadline)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		return p.Allocation(), nil
+		return a.Len(), a, nil
 	}
-	if err := s.persistentProbe(n, deadline, ks); err != nil {
-		return nil, err
+	p, err := s.pack(n, deadline)
+	if err != nil {
+		return 0, nil, err
 	}
-	alloc := s.pp.Allocation()
-	for i := range alloc.Slaves {
-		c := &alloc.Slaves[i]
-		c.Rank = ks[c.Leg] - 1 - c.Rank
+	if !alloc {
+		return p.Len(), nil, nil
 	}
-	return alloc, nil
+	return p.Len(), p.Allocation(), nil
 }
 
 // MaxTasks returns how many of at most n tasks complete within the
@@ -805,15 +674,16 @@ func (s *Solver) MaxTasks(n int, deadline platform.Time) (k int, err error) {
 	if err := s.prepare(n, deadline); err != nil {
 		return 0, err
 	}
-	ks, _ := s.legCounts(n, deadline)
-	return s.probeCount(n, deadline, ks)
+	k, _, err = s.probe(n, deadline, false)
+	return k, err
 }
 
 // fits reports whether all n tasks complete within the deadline; the
-// binary-search probe of MinMakespan. When the per-leg fit counts sum
-// below n the packing cannot reach n either (it admits a subset), so
-// the merge and packing are skipped outright; otherwise the counts
-// already computed feed the packing directly instead of being rescanned.
+// binary-search probe of MinMakespan. In the unseeded search, a probe
+// whose per-leg fit counts sum below n is rejected without packing (the
+// packing admits a subset of the stream). The seeded search never meets
+// that case: it starts at a deadline whose fit counts already sum to n,
+// and fit counts only grow with the deadline.
 func (s *Solver) fits(n int, deadline platform.Time) (bool, error) {
 	if s.testProbeHook != nil {
 		s.testProbeHook()
@@ -825,12 +695,11 @@ func (s *Solver) fits(n int, deadline platform.Time) (bool, error) {
 		return false, err
 	}
 	s.stats.Probes++
-	ks, total := s.legCounts(n, deadline)
-	if total < n {
+	if s.seed2off && s.countFits(n, deadline) < n {
 		s.stats.CountChecks++
 		return false, nil
 	}
-	m, err := s.probeCount(n, deadline, ks)
+	m, _, err := s.probe(n, deadline, false)
 	return m == n, err
 }
 
@@ -847,15 +716,14 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 	if err := s.prepare(n, deadline); err != nil {
 		return nil, err
 	}
-	ks, _ := s.legCounts(n, deadline)
-	alloc, err := s.probeAlloc(n, deadline, ks)
+	_, alloc, err := s.probe(n, deadline, true)
 	if err != nil {
 		return nil, err
 	}
-	// Revert (Lemma 3): the chosen virtual slave (leg b, rank i) is leg
-	// b's i-th scheduled task with its first send moved to the packed
-	// slot. The packing guarantees EmitStart ≤ the original C_1^i, so
-	// moving the send earlier keeps condition (1); port slots are
+	// Revert (Lemma 3): the chosen virtual slave (leg b, backward index
+	// j) is leg b's backward placement j with its first send moved to the
+	// packed slot. The packing guarantees EmitStart ≤ the original C_1,
+	// so moving the send earlier keeps condition (1); port slots are
 	// pairwise disjoint by construction.
 	var t0 time.Time
 	if s.trace != nil {
@@ -864,7 +732,7 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 	}
 	out = &sched.SpiderSchedule{Spider: s.sp}
 	for _, c := range alloc.Slaves {
-		t := s.legs[c.Leg].task(ks[c.Leg], c.Rank, deadline)
+		t := s.legs[c.Leg].inc.Backward(c.Rank).Shifted(deadline)
 		if c.EmitStart > t.Comms[0] {
 			return nil, fmt.Errorf("spider: internal error: packed send %d after promised latest %d", c.EmitStart, t.Comms[0])
 		}
@@ -874,15 +742,30 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 	return out, nil
 }
 
+// lowerBound returns platform.Spider.LowerBound(n) from the spider's
+// steady-state rate and best solo completion, computed once per solver:
+// the rate is exact rational arithmetic over every leg, too costly to
+// redo on every MinMakespan of a warm solver.
+func (s *Solver) lowerBound(n int) (platform.Time, error) {
+	if s.rate == nil && s.rateErr == nil {
+		s.rate, s.rateErr = s.sp.Throughput()
+		s.solo = s.sp.BestSolo()
+	}
+	if s.rateErr != nil {
+		return 0, s.rateErr
+	}
+	return platform.SteadyStateBound(n, s.rate, s.solo), nil
+}
+
 // MinMakespan returns the optimal makespan for exactly n tasks on the
 // spider and a schedule achieving it, by binary search on the deadline
 // (the maximum task count within a deadline is non-decreasing in the
 // deadline, so feasibility of n tasks is monotone). The leg plans are
 // grown once, in parallel, for the upper bound; every probe then costs
-// only per-leg binary searches plus one (probe-persistent) packing.
+// one ceiling-bounded packing.
 //
 // The search interval is seeded from both sides. Below: the proven
-// steady-state lower bound (baseline.LowerBoundSpider, PR 2) is
+// steady-state lower bound (platform.Spider.LowerBound, PR 2) is
 // tightened to the sum-of-fits bound — the smallest deadline whose
 // per-leg fit counts sum to n, a necessary condition for feasibility
 // found by binary search over fit counts alone, no packing. Above: the
@@ -922,7 +805,7 @@ func (s *Solver) MinMakespan(n int) (mk platform.Time, sol *sched.SpiderSchedule
 	}
 	s.stats.Solves++
 	lo, hi := platform.Time(1), s.sp.MasterOnlyMakespan(n)
-	if lb, err := baseline.LowerBoundSpider(s.sp, n); err == nil && lb > lo && lb <= hi {
+	if lb, err := s.lowerBound(n); err == nil && lb > lo && lb <= hi {
 		lo = lb
 	}
 	br.Lo, br.Hi = lo, hi
@@ -950,8 +833,7 @@ func (s *Solver) MinMakespan(n int) (mk platform.Time, sol *sched.SpiderSchedule
 				return 0, err
 			}
 			s.stats.CountChecks++
-			_, total := s.legCounts(n, d)
-			return total, nil
+			return s.countFits(n, d), nil
 		}
 		c, err := count(lo)
 		if err != nil {

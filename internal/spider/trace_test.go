@@ -90,7 +90,7 @@ func TestTracedSolveUnchanged(t *testing.T) {
 // TestTraceDisabledAllocations is the zero-overhead guard the ISSUE
 // asks for: with no trace attached (the default), the warm probe path
 // must stay at its pre-instrumentation budget of ≤ 2 allocations (the
-// probe-persistent packer's warm floor) — the hooks are a nil compare,
+// pooled packer's warm floor) — the hooks are a nil compare,
 // not a closure, not an interface call — and attaching a trace must
 // add zero more: observing is two clock reads and an atomic add.
 func TestTraceDisabledAllocations(t *testing.T) {
