@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -58,6 +59,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "msrouter:", err)
 		os.Exit(1)
 	}
+}
+
+// forwardClient returns the client the router forwards /solve through.
+// It owns a transport cloned from the default one, which keeps only two
+// idle connections per shard, so concurrent forwards beyond two would
+// redial. Each shard admits up to its default admission depth of
+// requests at once (16 × GOMAXPROCS, service.Config.QueueMax), and the
+// pool keeps that many idle connections per shard; the total cap scales
+// with the shard count so it never binds first.
+func forwardClient(timeout time.Duration, shards int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 16 * runtime.GOMAXPROCS(0)
+	tr.MaxIdleConns = tr.MaxIdleConnsPerHost * shards
+	return &http.Client{Timeout: timeout, Transport: tr}
 }
 
 // run starts the router and blocks until ctx is cancelled. When ready
@@ -88,7 +103,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		return fmt.Errorf("no shards given; -shards host1:port,host2:port is required")
 	}
 
-	rt, err := cluster.NewRouter(shards, *vnodes, &http.Client{Timeout: *forwardTimeout})
+	rt, err := cluster.NewRouter(shards, *vnodes, forwardClient(*forwardTimeout, len(shards)))
 	if err != nil {
 		return err
 	}

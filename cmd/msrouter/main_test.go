@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -173,4 +174,25 @@ func keep(body, substr string) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestForwardClientPoolsPerShard: the forwarding client owns its
+// transport and keeps a shard's default admission depth of idle
+// connections per shard, not the default transport's two.
+func TestForwardClientPoolsPerShard(t *testing.T) {
+	cl := forwardClient(3*time.Second, 4)
+	tr, ok := cl.Transport.(*http.Transport)
+	if !ok || tr == http.DefaultTransport {
+		t.Fatalf("forward client transport %T is not its own *http.Transport", cl.Transport)
+	}
+	depth := 16 * runtime.GOMAXPROCS(0)
+	if tr.MaxIdleConnsPerHost != depth || tr.MaxIdleConns != 4*depth {
+		t.Errorf("idle pool %d per shard, %d total; want %d and %d", tr.MaxIdleConnsPerHost, tr.MaxIdleConns, depth, 4*depth)
+	}
+	if cl.Timeout != 3*time.Second {
+		t.Errorf("timeout %v, want 3s", cl.Timeout)
+	}
+	if def := http.DefaultTransport.(*http.Transport); def.MaxIdleConnsPerHost != 0 {
+		t.Errorf("default transport modified: MaxIdleConnsPerHost %d", def.MaxIdleConnsPerHost)
+	}
 }

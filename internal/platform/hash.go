@@ -51,6 +51,11 @@ func LegKey(ch Chain) string {
 	return string(appendLeg(make([]byte, 0, legBytes(len(ch.Nodes))), ch.Nodes))
 }
 
+// CompareLegs orders two legs by value, exactly as the canonical
+// fingerprint orders them: by node count, then node by node on (c, w).
+// Equal legs compare 0.
+func CompareLegs(a, b Chain) int { return cmpLegs(a.Nodes, b.Nodes) }
+
 // cmpLegs orders two legs exactly as bytes.Compare orders their
 // appendLeg encodings: by node count (equal counts mean equal encoded
 // lengths), then node by node on (c, w), each compared as the unsigned

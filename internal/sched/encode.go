@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/platform"
 )
 
 // scheduleEnvelope is the on-disk JSON format for schedules, a tagged
@@ -16,31 +19,209 @@ type scheduleEnvelope struct {
 
 // WriteChainSchedule encodes a chain schedule as a tagged JSON document.
 func WriteChainSchedule(w io.Writer, s *ChainSchedule) error {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("sched: encoding chain schedule: %w", err)
-	}
-	return writeScheduleEnvelope(w, scheduleEnvelope{Kind: "chain", Chain: raw})
+	return writeSchedule(w, AppendChainSchedule(nil, s))
 }
 
 // WriteSpiderSchedule encodes a spider schedule as a tagged JSON
 // document.
 func WriteSpiderSchedule(w io.Writer, s *SpiderSchedule) error {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("sched: encoding spider schedule: %w", err)
-	}
-	return writeScheduleEnvelope(w, scheduleEnvelope{Kind: "spider", Spider: raw})
+	return writeSchedule(w, AppendSpiderSchedule(nil, s))
 }
 
-func writeScheduleEnvelope(w io.Writer, env scheduleEnvelope) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
+func writeSchedule(w io.Writer, doc []byte) error {
+	if _, err := w.Write(doc); err != nil {
 		return fmt.Errorf("sched: writing schedule file: %w", err)
 	}
 	return nil
 }
+
+// The appenders below write the schedule document without reflection,
+// byte for byte as encoding/json writes the envelope with a two-space
+// indent: keys in struct-field order, nil slices as null, empty ones as
+// [], and a trailing newline. The schedule file format is defined by
+// that encoding (ReadSchedule decodes it), so the appenders are pinned
+// against it by the package's tests and FuzzScheduleEncode.
+
+// AppendChainSchedule appends the tagged JSON document of a chain
+// schedule to dst and returns the extended slice.
+func AppendChainSchedule(dst []byte, s *ChainSchedule) []byte {
+	if s == nil {
+		return append(dst, "{\n  \"kind\": \"chain\",\n  \"chain_schedule\": null\n}\n"...)
+	}
+	size := 96 + nodesSize(len(s.Chain.Nodes))
+	for i := range s.Tasks {
+		size += taskSize(len(s.Tasks[i].Comms))
+	}
+	dst = grow(dst, size)
+	dst = append(dst, "{\n  \"kind\": \"chain\",\n  \"chain_schedule\": {\n    \"chain\": {\n      \"nodes\": "...)
+	dst = appendNodes(dst, s.Chain.Nodes, 3)
+	dst = append(dst, "\n    },\n    \"tasks\": "...)
+	switch {
+	case s.Tasks == nil:
+		dst = append(dst, "null"...)
+	case len(s.Tasks) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		dst = append(dst, '[')
+		for i := range s.Tasks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n      {"...)
+			dst = appendChainTask(dst, &s.Tasks[i], 3)
+			dst = append(dst, "\n      }"...)
+		}
+		dst = append(dst, "\n    ]"...)
+	}
+	return append(dst, "\n  }\n}\n"...)
+}
+
+// AppendSpiderSchedule appends the tagged JSON document of a spider
+// schedule, embedded platform included, to dst and returns the extended
+// slice.
+func AppendSpiderSchedule(dst []byte, s *SpiderSchedule) []byte {
+	if s == nil {
+		return append(dst, "{\n  \"kind\": \"spider\",\n  \"spider_schedule\": null\n}\n"...)
+	}
+	size := 96
+	for _, leg := range s.Spider.Legs {
+		size += 48 + nodesSize(len(leg.Nodes))
+	}
+	tasks := s.Tasks
+	for i := range tasks {
+		size += taskSize(len(tasks[i].Comms))
+	}
+	dst = grow(dst, size)
+	dst = append(dst, "{\n  \"kind\": \"spider\",\n  \"spider_schedule\": {\n    \"spider\": {\n      \"legs\": "...)
+	switch {
+	case s.Spider.Legs == nil:
+		dst = append(dst, "null"...)
+	case len(s.Spider.Legs) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		dst = append(dst, '[')
+		for i, leg := range s.Spider.Legs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n        {\n          \"nodes\": "...)
+			dst = appendNodes(dst, leg.Nodes, 5)
+			dst = append(dst, "\n        }"...)
+		}
+		dst = append(dst, "\n      ]"...)
+	}
+	dst = append(dst, "\n    },\n    \"tasks\": "...)
+	switch {
+	case tasks == nil:
+		dst = append(dst, "null"...)
+	case len(tasks) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		dst = append(dst, '[')
+		for i := range tasks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n      {\n        \"leg\": "...)
+			dst = strconv.AppendInt(dst, int64(tasks[i].Leg), 10)
+			dst = append(dst, ',')
+			dst = appendChainTask(dst, &tasks[i].ChainTask, 3)
+			dst = append(dst, "\n      }"...)
+		}
+		dst = append(dst, "\n    ]"...)
+	}
+	return append(dst, "\n  }\n}\n"...)
+}
+
+// indent holds newline-prefixed indentation; indent[:1+2*d] starts a
+// line at depth d. The schedule documents nest at most 7 deep.
+const indent = "\n                  "
+
+// appendNodes appends a node list whose key sits at depth d.
+func appendNodes(dst []byte, nodes []platform.Node, d int) []byte {
+	switch {
+	case nodes == nil:
+		return append(dst, "null"...)
+	case len(nodes) == 0:
+		return append(dst, "[]"...)
+	}
+	open, field, end := indent[:3+2*d], indent[:5+2*d], indent[:1+2*d]
+	dst = append(dst, '[')
+	for i, n := range nodes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, open...)
+		dst = append(dst, '{')
+		dst = append(dst, field...)
+		dst = append(dst, `"c": `...)
+		dst = strconv.AppendInt(dst, int64(n.Comm), 10)
+		dst = append(dst, ',')
+		dst = append(dst, field...)
+		dst = append(dst, `"w": `...)
+		dst = strconv.AppendInt(dst, int64(n.Work), 10)
+		dst = append(dst, open...)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, end...)
+	return append(dst, ']')
+}
+
+// appendChainTask appends the proc, start and comms members of a task
+// object whose opening brace sits at depth d; the caller writes the
+// braces (a spider task prefixes its leg member).
+func appendChainTask(dst []byte, t *ChainTask, d int) []byte {
+	field := indent[:3+2*d]
+	dst = append(dst, field...)
+	dst = append(dst, `"proc": `...)
+	dst = strconv.AppendInt(dst, int64(t.Proc), 10)
+	dst = append(dst, ',')
+	dst = append(dst, field...)
+	dst = append(dst, `"start": `...)
+	dst = strconv.AppendInt(dst, int64(t.Start), 10)
+	dst = append(dst, ',')
+	dst = append(dst, field...)
+	dst = append(dst, `"comms": `...)
+	switch {
+	case t.Comms == nil:
+		return append(dst, "null"...)
+	case len(t.Comms) == 0:
+		return append(dst, "[]"...)
+	}
+	elem := indent[:5+2*d]
+	dst = append(dst, '[')
+	for i, c := range t.Comms {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, elem...)
+		dst = strconv.AppendInt(dst, int64(c), 10)
+	}
+	dst = append(dst, field...)
+	return append(dst, ']')
+}
+
+// The size helpers estimate a document's length so an appender grows
+// its buffer once; a short estimate costs one more growth, nothing else.
+
+// grow returns dst with room for n more bytes, in one allocation when
+// it has to move.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	b := make([]byte, len(dst), len(dst)+n)
+	copy(b, dst)
+	return b
+}
+
+// nodesSize is the typical encoded size of n nodes at the deepest
+// nesting the documents use.
+func nodesSize(n int) int { return 80 * n }
+
+// taskSize is the typical encoded size of one task with the given
+// number of comms.
+func taskSize(comms int) int { return 96 + 24*comms }
 
 // DecodedSchedule is the result of reading a schedule file: exactly one
 // pointer is non-nil, matching Kind.

@@ -51,11 +51,11 @@ type kindHandler struct {
 	// share one warmed solver. Trees are their own kind: their
 	// schedules come from the §8 cover, not from the literal topology.
 	solverKind string
-	// prepare normalises the decoded platform into the query, checks
-	// the overflow horizon for horizonN tasks, and returns the literal
-	// digest the flight key carries: the platform as the requester
-	// numbered it, NOT order-normalised (see Service.parse).
-	prepare func(q *query, dec platform.Decoded, horizonN int) (literal platform.Hash, err error)
+	// prepare normalises the decoded platform into the query's
+	// prepared form and returns the literal digest the flight key
+	// carries: the platform as the requester numbered it, NOT
+	// order-normalised (see Service.parse).
+	prepare func(q *query, dec platform.Decoded) (literal platform.Hash)
 	// construct builds the warmed backend for the query's platform.
 	construct func(q *query) (backend, error)
 }
@@ -76,9 +76,9 @@ func registerKind(h *kindHandler) {
 func init() {
 	registerKind(&kindHandler{
 		wire: "chain", solverKind: "chain",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
+		prepare: func(q *query, dec platform.Decoded) platform.Hash {
 			q.chain, q.size = *dec.Chain, 1
-			return platform.LiteralChain(q.chain), q.chain.CheckHorizon(horizonN)
+			return platform.LiteralChain(q.chain)
 		},
 		construct: func(q *query) (backend, error) {
 			inc, err := core.NewIncremental(q.chain)
@@ -90,30 +90,30 @@ func init() {
 	})
 	registerKind(&kindHandler{
 		wire: "spider", solverKind: "spider",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
+		prepare: func(q *query, dec platform.Decoded) platform.Hash {
 			q.sp = *dec.Spider
 			q.size = q.sp.NumLegs()
-			return platform.LiteralSpider(q.sp), q.sp.CheckHorizon(horizonN)
+			return platform.LiteralSpider(q.sp)
 		},
 		construct: constructSpider,
 	})
 	registerKind(&kindHandler{
 		wire: "fork", solverKind: "spider",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
+		prepare: func(q *query, dec platform.Decoded) platform.Hash {
 			// A fork digests as its spider form, so it coalesces with
 			// that spider exactly as it shares its cache entry.
 			q.sp = dec.Fork.Spider()
 			q.size = q.sp.NumLegs()
-			return platform.LiteralSpider(q.sp), q.sp.CheckHorizon(horizonN)
+			return platform.LiteralSpider(q.sp)
 		},
 		construct: constructSpider,
 	})
 	registerKind(&kindHandler{
 		wire: "tree", solverKind: "tree",
-		prepare: func(q *query, dec platform.Decoded, horizonN int) (platform.Hash, error) {
+		prepare: func(q *query, dec platform.Decoded) platform.Hash {
 			q.tr = *dec.Tree
 			q.size = q.tr.NumProcs()
-			return platform.LiteralTree(q.tr), q.tr.CheckHorizon(horizonN)
+			return platform.LiteralTree(q.tr)
 		},
 		construct: func(q *query) (backend, error) {
 			ts, err := tree.NewSolver(q.tr)

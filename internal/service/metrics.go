@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -27,6 +28,7 @@ type metrics struct {
 	misses        *obs.Counter
 	coalesced     *obs.Counter
 	memoHits      *obs.Counter
+	formHits      *obs.Counter
 	constructions *obs.Counter
 	evictions     *obs.Counter
 	slowQueries   *obs.Counter
@@ -55,6 +57,25 @@ type metrics struct {
 	rehydrates      *obs.Counter
 	rehydratedLegs  *obs.Counter
 	rehydrateErrors *obs.Counter
+
+	// series memoises the per-solve histogram and phase-counter
+	// lookups: the registry builds and sorts a label key on every
+	// lookup, which would otherwise be most of what the request layer
+	// allocates per warm solve.
+	seriesMu sync.RWMutex
+	hists    map[histKey]*obs.Histogram
+	phases   map[phaseKey]*obs.Counter
+}
+
+type histKey struct {
+	kind  string
+	op    Op
+	cache string
+}
+
+type phaseKey struct {
+	kind string
+	p    obs.Phase
 }
 
 func newMetrics(s *Service) *metrics {
@@ -65,6 +86,7 @@ func newMetrics(s *Service) *metrics {
 		misses:        r.Counter("repro_service_misses_total", "queries that found no warmed solver"),
 		coalesced:     r.Counter("repro_service_coalesced_total", "queries that joined an identical in-flight query"),
 		memoHits:      r.Counter("repro_service_memo_hits_total", "scalar queries answered from a warmed solver's result memo"),
+		formHits:      r.Counter("repro_service_form_hits_total", "queries whose platform bytes matched a registered form, skipping the platform decode"),
 		constructions: r.Counter("repro_service_constructions_total", "warmed solver builds"),
 		evictions:     r.Counter("repro_service_evictions_total", "warmed solvers dropped by the LRU"),
 		slowQueries:   r.Counter("repro_service_slow_queries_total", "solves at or above the configured slow-query threshold"),
@@ -81,6 +103,9 @@ func newMetrics(s *Service) *metrics {
 		rehydrates:      r.Counter("repro_service_rehydrates_total", "solver builds fully seeded from the plan cache — zero construction work"),
 		rehydratedLegs:  r.Counter("repro_service_rehydrated_legs_total", "distinct leg plans seeded from the plan cache"),
 		rehydrateErrors: r.Counter("repro_service_rehydrate_errors_total", "spilled plans rejected at import or unreadable on disk (fell back to construction)"),
+
+		hists:  make(map[histKey]*obs.Histogram),
+		phases: make(map[phaseKey]*obs.Counter),
 	}
 	const degradedHelp = "bounded-quality 200s served in place of an error, by conversion reason"
 	m.degradedShed = r.Counter("repro_service_degraded_total", degradedHelp, "reason", "shed")
@@ -121,17 +146,37 @@ func newMetrics(s *Service) *metrics {
 // solveHist returns the solve-duration histogram of one (platform kind,
 // op, cache disposition) cell; cache is "hit" (warm) or "miss" (cold).
 func (m *metrics) solveHist(kind string, op Op, cache string) *obs.Histogram {
-	return m.reg.Histogram("repro_solve_duration_ns",
-		"wall time of one solve in nanoseconds, by platform kind, op and cache disposition",
-		"kind", kind, "op", string(op), "cache", cache)
+	k := histKey{kind: kind, op: op, cache: cache}
+	m.seriesMu.RLock()
+	h := m.hists[k]
+	m.seriesMu.RUnlock()
+	if h == nil {
+		h = m.reg.Histogram("repro_solve_duration_ns",
+			"wall time of one solve in nanoseconds, by platform kind, op and cache disposition",
+			"kind", kind, "op", string(op), "cache", cache)
+		m.seriesMu.Lock()
+		m.hists[k] = h
+		m.seriesMu.Unlock()
+	}
+	return h
 }
 
 // phaseCounter returns the cumulative phase-time counter of one
 // (platform kind, solve phase) cell.
 func (m *metrics) phaseCounter(kind string, p obs.Phase) *obs.Counter {
-	return m.reg.Counter("repro_solve_phase_ns_total",
-		"cumulative solve wall time in nanoseconds, by platform kind and solve phase",
-		"kind", kind, "phase", p.String())
+	k := phaseKey{kind: kind, p: p}
+	m.seriesMu.RLock()
+	c := m.phases[k]
+	m.seriesMu.RUnlock()
+	if c == nil {
+		c = m.reg.Counter("repro_solve_phase_ns_total",
+			"cumulative solve wall time in nanoseconds, by platform kind and solve phase",
+			"kind", kind, "phase", p.String())
+		m.seriesMu.Lock()
+		m.phases[k] = c
+		m.seriesMu.Unlock()
+	}
+	return c
 }
 
 // formatPhases renders a cost block's phase map in canonical phase

@@ -1,14 +1,16 @@
 package service
 
 import (
-	"bytes"
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,8 +113,12 @@ type Service struct {
 	mu       sync.Mutex
 	entries  map[ckey]*list.Element // -> *entry in lru
 	lru      *list.List             // front = most recently used
-	flight   map[string]*call       // identical in-flight queries
+	flight   map[flightKey]*call    // identical in-flight queries
 	building map[ckey]*construction // in-flight solver builds
+	// forms indexes the cached entries' registered request forms by
+	// the maphash of their platform bytes (see form).
+	forms    map[uint64]*entry
+	formSeed maphash.Seed
 
 	slowMu sync.Mutex // serialises slow-query log lines
 
@@ -148,8 +154,10 @@ func New(cfg Config) *Service {
 		start:    time.Now(),
 		entries:  make(map[ckey]*list.Element),
 		lru:      list.New(),
-		flight:   make(map[string]*call),
+		flight:   make(map[flightKey]*call),
 		building: make(map[ckey]*construction),
+		forms:    make(map[uint64]*entry),
+		formSeed: maphash.MakeSeed(),
 	}
 	s.m = newMetrics(s)
 	s.adm = newAdmission(cfg.Workers, warmReserve(cfg.Workers, cfg.WarmSlots),
@@ -264,6 +272,13 @@ type entry struct {
 	trace     *obs.SolveTrace
 	lastSnap  obs.PhaseSnapshot
 	lastStats spider.ProbeStats
+	// src is the constructing query's prepared platform, whose slices
+	// the backend holds; a form with the same literal digest shares
+	// them instead of keeping a second copy.
+	src prepared
+	// form is the request form registered on this entry, nil until a
+	// fully parsed query hits it; guarded by Service.mu.
+	form *form
 }
 
 // memoKey identifies one scalar query against a warmed solver. The
@@ -302,28 +317,71 @@ func memoKeyFor(q *query) (memoKey, bool) {
 	return k, true
 }
 
-// query is a parsed, validated request. The kind handler's prepare
-// fills exactly the platform field matching the solver kind.
+// prepared is what parsing derives from the platform bytes alone: the
+// kind handler, the cache key, the literal digest, the platform in the
+// requester's numbering and its size. The kind handler's prepare fills
+// exactly the platform field matching the solver kind.
+type prepared struct {
+	h     *kindHandler    // the wire kind's registry entry
+	key   ckey            // cache key: solver kind (forks → spider) + fingerprint
+	lit   platform.Hash   // literal digest, the flight key's platform part
+	chain platform.Chain  // chain kind
+	sp    platform.Spider // spider kind, request leg order
+	tr    platform.Tree   // tree kind, request sibling order
+	size  int             // platform leg count, the cold-cost size proxy
+}
+
+// form is one registered request form: the exact platform bytes of a
+// query that hit a cached entry, remembered by digest, with the
+// prepared platform they parse to. A later query whose platform bytes
+// have the same maphash AND the same SHA-256 takes the prepared
+// platform instead of decoding, fingerprinting and digesting the body
+// again — the same trust the SHA-256 cache key already places in
+// fingerprint equality. No request body is kept.
+type form struct {
+	hash uint64
+	sum  [sha256.Size]byte
+	p    prepared
+}
+
+// query is a parsed, validated request.
 type query struct {
-	req       *Request
-	ctx       context.Context // request context: deadline + disconnect
-	key       ckey            // cache key: solver kind (forks → spider) + fingerprint
-	h         *kindHandler    // the wire kind's registry entry
-	chain     platform.Chain  // chain kind
-	sp        platform.Spider // spider kind, request leg order
-	tr        platform.Tree   // tree kind, request sibling order
-	size      int             // platform leg count, the cold-cost size proxy
-	flightKey string
+	prepared
+	req    *Request
+	ctx    context.Context // request context: deadline + disconnect
+	body   uint64          // maphash of the platform bytes
+	reused bool            // prepared came from a registered form
+	flight flightKey
 	// retried marks that this query already re-entered the cache path
 	// once after inheriting a dead leader's context error, so a second
 	// inherited failure is returned as-is.
 	retried bool
 }
 
-// parse decodes and validates the request. Unlike the cache key, the
-// flight key is NOT order-normalised: it digests the literal platform,
-// so coalesced requests share leg numbering and the pre-built response
-// — including its schedule — is correct for every joiner verbatim.
+// flightKey identifies identical in-flight queries. Unlike the cache
+// key, its platform part is NOT order-normalised: it is the literal
+// digest, so coalesced requests share leg numbering and the pre-built
+// response — including its schedule — is correct for every joiner
+// verbatim.
+type flightKey struct {
+	lit      platform.Hash
+	kind     string
+	op       Op
+	n        int
+	deadline platform.Time
+	sched    bool
+	// degraded is the allow_degraded tri-state (0 unset, 1 false, 2
+	// true): coalesced joiners share the leader's response verbatim,
+	// and a degraded 200 is only correct for joiners with the same
+	// degradation contract.
+	degraded int8
+}
+
+// parse decodes and validates the request. A platform whose exact bytes
+// match a registered form skips the decode, fingerprint and literal
+// digest; everything that depends on the rest of the request — the
+// horizon check for its n, the op, n and deadline checks — runs either
+// way, so both paths accept, reject and key a query identically.
 func (s *Service) parse(req *Request) (*query, error) {
 	if !req.Op.valid() {
 		return nil, fmt.Errorf("service: unknown op %q (want %s, %s or %s)", req.Op, OpMinMakespan, OpMaxTasks, OpScheduleWithin)
@@ -331,20 +389,23 @@ func (s *Service) parse(req *Request) (*query, error) {
 	if len(req.Platform) == 0 {
 		return nil, fmt.Errorf("service: request carries no platform")
 	}
-	dec, err := platform.Decode(req.Platform)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+	q := &query{req: req, body: maphash.Bytes(s.formSeed, req.Platform)}
+	if !s.reuseForm(q) {
+		dec, err := platform.Decode(req.Platform)
+		if err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
+		h, ok := kindRegistry[dec.Kind]
+		if !ok {
+			// platform.Decode rejects unknown kinds, so an unregistered kind
+			// here means a handler was never written for a decodable
+			// platform — a service bug, not a client one.
+			return nil, fmt.Errorf("%w: no solver registered for platform kind %q", ErrInternal, dec.Kind)
+		}
+		q.h, q.key = h, ckey{kind: h.solverKind, hash: dec.Hash()}
+		q.lit = h.prepare(q, dec)
 	}
-	h, ok := kindRegistry[dec.Kind]
-	if !ok {
-		// platform.Decode rejects unknown kinds, so an unregistered kind
-		// here means a handler was never written for a decodable
-		// platform — a service bug, not a client one.
-		return nil, fmt.Errorf("%w: no solver registered for platform kind %q", ErrInternal, dec.Kind)
-	}
-	q := &query{req: req, h: h, key: ckey{kind: h.solverKind, hash: dec.Hash()}}
-	lit, err := h.prepare(q, dec, max(req.N, 1))
-	if err != nil {
+	if err := q.checkHorizon(max(req.N, 1)); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	switch {
@@ -357,16 +418,72 @@ func (s *Service) parse(req *Request) (*query, error) {
 	case req.N > s.cfg.MaxN:
 		return nil, fmt.Errorf("service: task count %d exceeds the per-query limit %d", req.N, s.cfg.MaxN)
 	}
-	// The allow_degraded tri-state is part of the flight key: coalesced
-	// joiners share the leader's response verbatim, and a degraded 200
-	// is only correct for joiners with the same degradation contract.
-	deg := "-"
+	q.flight = flightKey{lit: q.lit, kind: q.key.kind, op: req.Op, n: req.N,
+		deadline: req.Deadline, sched: req.IncludeSchedule}
 	if req.AllowDegraded != nil {
-		deg = fmt.Sprintf("%t", *req.AllowDegraded)
+		q.flight.degraded = 1
+		if *req.AllowDegraded {
+			q.flight.degraded = 2
+		}
 	}
-	q.flightKey = fmt.Sprintf("%s|%s|%s|%d|%d|%t|%s",
-		lit, q.key.kind, req.Op, req.N, req.Deadline, req.IncludeSchedule, deg)
 	return q, nil
+}
+
+// checkHorizon reports whether n tasks fit the platform's overflow-free
+// time horizon (forks are checked in their spider form).
+func (q *query) checkHorizon(n int) error {
+	switch q.key.kind {
+	case "chain":
+		return q.chain.CheckHorizon(n)
+	case "tree":
+		return q.tr.CheckHorizon(n)
+	default:
+		return q.sp.CheckHorizon(n)
+	}
+}
+
+// reuseForm fills q's prepared platform from the form registered under
+// its body's maphash when the body's SHA-256 matches the form's, and
+// reports whether it did. The digest runs only when a candidate exists,
+// so traffic without registered forms pays one maphash.
+func (s *Service) reuseForm(q *query) bool {
+	s.mu.Lock()
+	var f *form
+	if e := s.forms[q.body]; e != nil {
+		f = e.form
+	}
+	s.mu.Unlock()
+	if f == nil || sha256.Sum256(q.req.Platform) != f.sum {
+		return false
+	}
+	q.prepared, q.reused = f.p, true
+	s.m.formHits.Inc()
+	return true
+}
+
+// registerForm registers q's platform bytes as e's form. It runs after
+// a fully parsed query hit e, outside s.mu for the digest, and gives up
+// if e has meanwhile gained a form or left the cache, or if another
+// entry holds the maphash slot.
+func (s *Service) registerForm(e *entry, q *query) {
+	f := &form{hash: q.body, sum: sha256.Sum256(q.req.Platform), p: q.prepared}
+	if f.p.lit == e.src.lit {
+		f.p.chain, f.p.sp, f.p.tr = e.src.chain, e.src.sp, e.src.tr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[e.key]; !ok || el.Value.(*entry) != e || e.form != nil || s.forms[f.hash] != nil {
+		return
+	}
+	e.form = f
+	s.forms[f.hash] = e
+}
+
+// dropForm removes e's form registration; s.mu must be held.
+func (s *Service) dropForm(e *entry) {
+	if e.form != nil && s.forms[e.form.hash] == e {
+		delete(s.forms, e.form.hash)
+	}
 }
 
 // solveDeadline is the effective per-request solve deadline: the
@@ -433,7 +550,7 @@ func (s *Service) Solve(ctx context.Context, req *Request) (resp *Response, err 
 	}()
 
 	s.mu.Lock()
-	if c, ok := s.flight[q.flightKey]; ok {
+	if c, ok := s.flight[q.flight]; ok {
 		// An identical query is already solving: join it. Joiners wait
 		// on their own context — a leader stuck in a long solve must not
 		// pin a joiner past its deadline.
@@ -452,7 +569,7 @@ func (s *Service) Solve(ctx context.Context, req *Request) (resp *Response, err 
 		return &joined, nil
 	}
 	c := &call{done: make(chan struct{})}
-	s.flight[q.flightKey] = c
+	s.flight[q.flight] = c
 	// Resolve the flight on every exit — panics included: a leaked
 	// flight entry would block all future identical queries forever.
 	defer func() {
@@ -460,7 +577,7 @@ func (s *Service) Solve(ctx context.Context, req *Request) (resp *Response, err 
 			resp, err = nil, fmt.Errorf("%w: %v", ErrInternal, r)
 		}
 		s.mu.Lock()
-		delete(s.flight, q.flightKey)
+		delete(s.flight, q.flight)
 		s.mu.Unlock()
 		c.resp, c.err = resp, err
 		close(c.done)
@@ -482,7 +599,11 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 		e = el.Value.(*entry)
 		s.m.hits.Inc()
 		cache = "hit"
+		register := e.form == nil && !q.reused
 		s.mu.Unlock()
+		if register {
+			s.registerForm(e, q)
+		}
 	} else if b, ok := s.building[q.key]; ok {
 		// A different query is already building this platform's
 		// solver: wait for it rather than constructing twice — on our
@@ -621,10 +742,7 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 			}
 		}
 	}
-	resp, err := s.respond(q, sol, cache, solveNs)
-	if err != nil {
-		return nil, err
-	}
+	resp := s.respond(q, sol, cache, solveNs)
 	resp.Meta.Memo = memoHit
 	resp.Meta.Cost = cost
 	if s.cfg.SlowQuery > 0 && time.Duration(solveNs) >= s.cfg.SlowQuery {
@@ -661,6 +779,7 @@ func (s *Service) quarantine(e *entry) {
 	if el, ok := s.entries[e.key]; ok && el.Value.(*entry) == e {
 		s.lru.Remove(el)
 		delete(s.entries, e.key)
+		s.dropForm(e)
 	}
 }
 
@@ -722,7 +841,7 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 		rehydrated = res.Plans > 0 && res.Hydrated == res.Plans
 	}
 	s.cm.observe(q.key.kind, true, time.Since(start).Nanoseconds())
-	e = &entry{key: q.key, be: be, trace: &obs.SolveTrace{}}
+	e = &entry{key: q.key, be: be, trace: &obs.SolveTrace{}, src: q.prepared}
 	// Attaching right after construction flushes the build-time set-up
 	// (leg dedup, tree cover) into the trace, so the first solve's cost
 	// block carries the construction it paid for.
@@ -746,6 +865,7 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 		s.lru.Remove(old)
 		oe := old.Value.(*entry)
 		delete(s.entries, oe.key)
+		s.dropForm(oe)
 		s.m.evictions.Inc()
 		evicted = append(evicted, oe)
 	}
@@ -847,29 +967,29 @@ type solved struct {
 // they share a canonical fingerprint — so a perfect matching exists,
 // and identical legs are interchangeable: every task keeps its in-leg
 // trajectory and master port slot, so feasibility and makespan carry
-// over verbatim.
+// over verbatim. Both orders are sorted by leg value, ties by index,
+// and matched rank for rank: the k-th copy of a leg in the cached
+// order maps to its k-th copy in the request's order.
 func remapLegs(sch *sched.SpiderSchedule, from, to platform.Spider) error {
 	identity := len(from.Legs) == len(to.Legs)
 	for i := 0; identity && i < len(from.Legs); i++ {
-		identity = chainsEqual(from.Legs[i], to.Legs[i])
+		identity = slices.Equal(from.Legs[i].Nodes, to.Legs[i].Nodes)
 	}
 	if identity {
 		sch.Spider = to
 		return nil
 	}
+	if len(from.Legs) != len(to.Legs) {
+		return fmt.Errorf("%w: requested spider has %d legs, cached %d", ErrInternal, len(to.Legs), len(from.Legs))
+	}
+	fromOrd, toOrd := legOrder(from), legOrder(to)
 	perm := make([]int, len(from.Legs))
-	used := make([]bool, len(to.Legs))
-	for i, leg := range from.Legs {
-		perm[i] = -1
-		for j, cand := range to.Legs {
-			if !used[j] && chainsEqual(leg, cand) {
-				perm[i], used[j] = j, true
-				break
-			}
-		}
-		if perm[i] < 0 {
+	for k, i := range fromOrd {
+		j := toOrd[k]
+		if !slices.Equal(from.Legs[i].Nodes, to.Legs[j].Nodes) {
 			return fmt.Errorf("%w: no leg of the requested spider matches cached leg %d", ErrInternal, i)
 		}
+		perm[i] = j
 	}
 	sch.Spider = to
 	for t := range sch.Tasks {
@@ -878,20 +998,19 @@ func remapLegs(sch *sched.SpiderSchedule, from, to platform.Spider) error {
 	return nil
 }
 
-func chainsEqual(a, b platform.Chain) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
+// legOrder returns the spider's leg indices sorted by leg value, ties
+// by index.
+func legOrder(sp platform.Spider) []int {
+	ord := make([]int, len(sp.Legs))
+	for i := range ord {
+		ord[i] = i
 	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortStableFunc(ord, func(i, j int) int { return platform.CompareLegs(sp.Legs[i], sp.Legs[j]) })
+	return ord
 }
 
 // respond encodes the solved answer onto the wire.
-func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) (*Response, error) {
+func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) *Response {
 	resp := &Response{
 		Op:       q.req.Op,
 		N:        q.req.N,
@@ -906,18 +1025,11 @@ func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) (*
 	if q.req.Op.needsDeadline() {
 		resp.Deadline = q.req.Deadline
 	}
-	var buf bytes.Buffer
 	switch {
 	case sol.chainSched != nil:
-		if err := sched.WriteChainSchedule(&buf, sol.chainSched); err != nil {
-			return nil, err
-		}
-		resp.Schedule = buf.Bytes()
+		resp.Schedule = sched.AppendChainSchedule(nil, sol.chainSched)
 	case sol.spiderSched != nil:
-		if err := sched.WriteSpiderSchedule(&buf, sol.spiderSched); err != nil {
-			return nil, err
-		}
-		resp.Schedule = buf.Bytes()
+		resp.Schedule = sched.AppendSpiderSchedule(nil, sol.spiderSched)
 	}
-	return resp, nil
+	return resp
 }
