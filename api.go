@@ -143,12 +143,9 @@ func NewSolver(p Platform) (Solver, error) {
 		}
 		return &spiderSolver{p: v, kind: "spider", s: s}, nil
 	case Fork:
-		if err := v.Validate(); err != nil {
-			return nil, wrapKindErr("fork", err)
-		}
-		s, err := spider.NewSolver(v.Spider())
+		s, err := newForkSolver(v)
 		if err != nil {
-			return nil, wrapKindErr("fork", err)
+			return nil, err
 		}
 		return &spiderSolver{p: v, kind: "fork", s: s}, nil
 	case Tree:
@@ -160,6 +157,17 @@ func NewSolver(p Platform) (Solver, error) {
 	default:
 		return nil, fmt.Errorf("repro: unsupported platform type %T", p)
 	}
+}
+
+// newForkSolver is the one path every fork query takes: the spider
+// solver on the fork's spider form, whose one-node legs are the Fig. 6
+// expansion of its slaves.
+func newForkSolver(f Fork) (*spider.Solver, error) {
+	if err := f.Validate(); err != nil {
+		return nil, wrapKindErr("fork", err)
+	}
+	s, err := spider.NewSolver(f.Spider())
+	return s, wrapKindErr("fork", err)
 }
 
 // wrapKindErr prefixes an error with the platform kind — every facade

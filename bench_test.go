@@ -132,23 +132,6 @@ func BenchmarkSpiderMinMakespan(b *testing.B) {
 	}
 }
 
-func BenchmarkSpiderMinMakespanReference(b *testing.B) {
-	// The unmemoized reference path on the same instances, kept so the
-	// memoization's win stays measurable side by side.
-	g := platform.MustGenerator(5, 1, 9, platform.Uniform)
-	sp := g.Spider(4, 3)
-	for _, n := range []int{32, 128, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := spider.ReferenceMinMakespan(sp, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkBaselines(b *testing.B) {
 	// E8: heuristic scheduling cost on the instances of the comparison
 	// table (the quality comparison itself is experiment E8).
@@ -182,7 +165,7 @@ func BenchmarkBounds(b *testing.B) {
 	ch := workload.LayeredChain(5, 2, 24)
 	b.Run("chain-rate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baseline.ChainRate(ch); err != nil {
+			if _, err := ch.Throughput(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,14 +173,14 @@ func BenchmarkBounds(b *testing.B) {
 	sp := workload.VolunteerSpider()
 	b.Run("spider-rate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baseline.SpiderRate(sp); err != nil {
+			if _, err := sp.Throughput(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("chain-lower-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baseline.LowerBoundChain(ch, 320); err != nil {
+			if _, err := ch.LowerBound(320); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,21 +7,22 @@
 //	msbench -run E1,E4      # selected experiments
 //	msbench -list           # list experiments
 //	msbench -csv dir/       # also dump each table as CSV under dir/
-//	msbench -json file      # dump the E5/E5c/E5w/E5p/E6 regression baseline as JSON
+//	msbench -json file      # dump the E5/E5c/E5w-wide/E5p-loop/E6-cold regression baseline as JSON
 //	msbench -cpuprofile f   # profile the run's CPU (any mode)
 //	msbench -memprofile f   # dump a heap profile at exit (any mode)
 //
 // The -json dump measures the hot-path families (chain and spider
 // solvers, the wide-platform packing, the warm probe loop and the
 // E6-cold construction cells) with a calibration workload and writes a
-// machine-portable baseline; the
-// committed BENCH_seed.json froze the pre-optimisation numbers (add
-// -reference to reproduce that mode) and the regression test in this
-// package flags >20% slowdowns against it. Spider-family points carry
-// probes_per_solve — the deadline-search telemetry of one cold solve —
-// and most cells carry phase_ns, the phase-by-phase wall-time breakdown
-// (construct/dedup/merge/pack/extract) of one extra traced run taken
-// outside the timed reps; both are context the comparison ignores.
+// machine-portable baseline. The committed BENCH_seed.json is a static
+// file: it froze the pre-optimisation numbers, taken with solver paths
+// that have since moved into test code, and the regression test in
+// this package flags >20% slowdowns against it. Spider-family points
+// carry probes_per_solve — the deadline-search telemetry of one cold
+// solve — and most cells carry phase_ns, the phase-by-phase wall-time
+// breakdown (construct/dedup/merge/pack/extract) of one extra traced
+// run taken outside the timed reps, per operation like ns_per_op; both
+// are context the comparison ignores.
 package main
 
 import (
@@ -51,8 +52,7 @@ func run(args []string, out io.Writer) error {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV under this directory")
-		jsonPath   = fs.String("json", "", "measure the E5/E5c/E5w/E5p/E6 regression families and write the baseline JSON here")
-		refSolve   = fs.Bool("reference", false, "with -json: measure the spider family with the unmemoized reference solver, the wide family and the probe loop with the slice-based packer, and the E6-cold cells with leg dedup off")
+		jsonPath   = fs.String("json", "", "measure the E5/E5c/E5w-wide/E5p-loop/E6-cold regression families and write the baseline JSON here")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this file")
 	)
@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *jsonPath != "" {
-		b, err := experiments.MeasureBenchBaseline(*refSolve)
+		b, err := experiments.MeasureBenchBaseline()
 		if err != nil {
 			return fmt.Errorf("measuring bench baseline: %w", err)
 		}

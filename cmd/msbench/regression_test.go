@@ -9,19 +9,19 @@ import (
 
 // TestNoBenchRegressionAgainstSeed guards the E5/E5c hot-path families
 // against >20% regressions relative to the committed seed-era baseline
-// (BENCH_seed.json, dumped by `msbench -json -reference`). The
-// comparison scales by a calibration workload measured in both runs, so
-// the check tracks algorithmic regressions rather than machine speed.
-// The seed spider numbers come from the unmemoized reference solver,
-// which the memoized solver beats severalfold — the bar therefore has
-// wide headroom and a genuine regression is what it takes to trip it.
+// (BENCH_seed.json, a static file). The comparison scales by a
+// calibration workload measured in both runs, so the check tracks
+// algorithmic regressions rather than machine speed. The seed spider
+// numbers come from the unmemoized reference solver, which the memoized
+// solver beats severalfold — the bar therefore has wide headroom and a
+// genuine regression is what it takes to trip it.
 func TestNoBenchRegressionAgainstSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark regression guard skipped in -short mode")
 	}
 	f, err := os.Open("../../BENCH_seed.json")
 	if os.IsNotExist(err) {
-		t.Skip("BENCH_seed.json not present; regenerate with: msbench -json BENCH_seed.json -reference")
+		t.Skip("BENCH_seed.json not present; restore the committed seed baseline from version control")
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestNoBenchRegressionAgainstSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := experiments.MeasureBenchBaseline(false)
+	cur, err := experiments.MeasureBenchBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNoBenchRegressionAgainstSeed(t *testing.T) {
 		// parallel — can push a cell a few percent past the bar; a
 		// genuine algorithmic regression reproduces on a re-measure.
 		t.Logf("re-measuring %d flagged cells: %v", len(regs), regs)
-		cur, err = experiments.MeasureBenchBaseline(false)
+		cur, err = experiments.MeasureBenchBaseline()
 		if err != nil {
 			t.Fatal(err)
 		}

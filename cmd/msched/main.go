@@ -14,10 +14,8 @@
 //
 // Every topology routes through the unified repro.Platform /
 // repro.Solver API — one code path from the parsed platform to the
-// printed schedule. The -slow flag routes spider scheduling through the
-// unmemoized reference solver (identical output, rebuilt from scratch
-// at every deadline probe) for cross-checking the fast path in the
-// field.
+// printed schedule. To cross-check a schedule independently, write it
+// with -json and feed the file to cmd/msverify.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/platform"
-	"repro/internal/spider"
 )
 
 func main() {
@@ -59,7 +56,6 @@ func run(args []string, out io.Writer) (err error) {
 		scale      = fs.Int64("scale", 1, "Gantt time units per character")
 		svgPath    = fs.String("svg", "", "also write an SVG Gantt chart to this file")
 		jsonPath   = fs.String("json", "", "also write the schedule as JSON to this file")
-		slow       = fs.Bool("slow", false, "use the unmemoized reference spider solver (identical schedules; for cross-checking)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,7 +65,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	return schedule(out, p, *n, *deadline, *slow, *showGantt, platform.Time(*scale), *svgPath, *jsonPath)
+	return schedule(out, p, *n, *deadline, *showGantt, platform.Time(*scale), *svgPath, *jsonPath)
 }
 
 // resolvePlatform turns the flags into one Platform. Fork files load as
@@ -108,37 +104,23 @@ func resolvePlatform(chainSpec, spiderSpec, platPath string) (repro.Platform, er
 }
 
 // schedule runs one query through the unified Solver API and prints the
-// result; the -slow spider reference path produces identical schedules
-// through the historical solver. The horizon check rejects platforms
+// result. The horizon check rejects platforms
 // whose n-task arithmetic would overflow: oversized (c, w) values or
 // task counts would otherwise surface as baffling internal errors — or
 // wrapped, silently wrong schedules — deep in the solver.
-func schedule(out io.Writer, p repro.Platform, n int, deadline int64, slow, showGantt bool, scale platform.Time, svgPath, jsonPath string) error {
+func schedule(out io.Writer, p repro.Platform, n int, deadline int64, showGantt bool, scale platform.Time, svgPath, jsonPath string) error {
 	if err := p.CheckHorizon(n); err != nil {
 		return err
 	}
-	var (
-		s   repro.Schedule
-		err error
-	)
-	if sp, isSpider := p.(repro.Spider); slow && isSpider {
-		switch {
-		case deadline >= 0:
-			s, err = spider.ReferenceScheduleWithin(sp, n, platform.Time(deadline))
-		default:
-			s, err = spider.ReferenceSchedule(sp, n)
-		}
+	solver, err := repro.NewSolver(p)
+	if err != nil {
+		return err
+	}
+	var s repro.Schedule
+	if deadline >= 0 {
+		s, err = solver.ScheduleWithin(n, platform.Time(deadline))
 	} else {
-		var solver repro.Solver
-		solver, err = repro.NewSolver(p)
-		if err != nil {
-			return err
-		}
-		if deadline >= 0 {
-			s, err = solver.ScheduleWithin(n, platform.Time(deadline))
-		} else {
-			_, s, err = solver.MinMakespan(n)
-		}
+		_, s, err = solver.MinMakespan(n)
 	}
 	if err != nil {
 		return err

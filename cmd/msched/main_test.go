@@ -212,25 +212,3 @@ func TestRunMalformedPlatformFiles(t *testing.T) {
 		})
 	}
 }
-
-func TestRunSlowReferencePathMatchesFast(t *testing.T) {
-	// -slow routes through the unmemoized reference solver; the printed
-	// schedule and makespan must be identical to the fast path.
-	var fast, slow bytes.Buffer
-	if err := run([]string{"-spider", "2,5,3,3;1,4", "-n", "6"}, &fast); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-spider", "2,5,3,3;1,4", "-n", "6", "-slow"}, &slow); err != nil {
-		t.Fatal(err)
-	}
-	if fast.String() != slow.String() {
-		t.Errorf("outputs diverge:\nfast:\n%s\nslow:\n%s", fast.String(), slow.String())
-	}
-	var slowDeadline bytes.Buffer
-	if err := run([]string{"-spider", "2,5,3,3;1,4", "-n", "6", "-deadline", "12", "-slow"}, &slowDeadline); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(slowDeadline.String(), "deadline 12") {
-		t.Errorf("deadline -slow output missing summary: %s", slowDeadline.String())
-	}
-}

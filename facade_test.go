@@ -96,10 +96,12 @@ func TestUnifiedSolverSpiderEquivalence(t *testing.T) {
 	}
 }
 
-// TestUnifiedSolverForkEquivalence: a fork solves through the unified
-// API as its spider form; the optimum and the fitting task counts must
-// match the flat fork facade exactly.
-func TestUnifiedSolverForkEquivalence(t *testing.T) {
+// TestForkFacadeMatchesSolver: the fork facade answers through the
+// unified solver, so ForkMinMakespan returns NewSolver(f).MinMakespan's
+// schedule, not merely its makespan, and ForkMaxTasks its task counts.
+// (internal/fork's TestUnifiedSolverForkEquivalence holds that solver
+// to the Fig. 6 expansion oracle on the same forks.)
+func TestForkFacadeMatchesSolver(t *testing.T) {
 	g := platform.MustGenerator(303, 1, 9, platform.Uniform)
 	for trial := 0; trial < 20; trial++ {
 		f := g.Fork(2 + trial%5)
@@ -108,7 +110,7 @@ func TestUnifiedSolverForkEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMk, _, err := repro.ForkMinMakespan(f, n)
+		gotMk, got, err := repro.ForkMinMakespan(f, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,26 +118,23 @@ func TestUnifiedSolverForkEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mk != wantMk {
-			t.Fatalf("trial %d: solver makespan %d, facade %d", trial, mk, wantMk)
+		if gotMk != mk || !got.Equal(sch.(*repro.SpiderSchedule)) {
+			t.Fatalf("trial %d: facade makespan %d, solver %d, or their schedules diverge", trial, gotMk, mk)
 		}
-		if err := sch.Verify(); err != nil {
+		if err := got.Verify(); err != nil {
 			t.Fatalf("trial %d: infeasible: %v", trial, err)
 		}
-		for _, dl := range []repro.Time{wantMk, wantMk - 1, wantMk / 2} {
-			if dl < 0 {
-				continue
-			}
-			want, err := repro.ForkMaxTasks(f, n, dl)
+		for _, dl := range []repro.Time{mk, mk - 1, mk / 2} {
+			want, err := s.MaxTasks(n, dl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.MaxTasks(n, dl)
+			k, err := repro.ForkMaxTasks(f, n, dl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("trial %d deadline %d: MaxTasks %d, want %d", trial, dl, got, want)
+			if k != want {
+				t.Fatalf("trial %d deadline %d: ForkMaxTasks %d, solver %d", trial, dl, k, want)
 			}
 		}
 	}

@@ -3,41 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math/big"
-
-	"repro/internal/platform"
 )
-
-// The steady-state rate and lower-bound math lives on the platform
-// types themselves (internal/platform/rate.go) since the unified
-// Platform API made Throughput/LowerBound part of every topology's
-// method set. These functions remain as the historical entry points —
-// every solver and experiment calls through them — and delegate.
-
-// ChainRate returns the exact steady-state task throughput of a chain
-// (platform.Chain.Throughput): the LP relaxation of the scheduling
-// problem, tasks as divisible load.
-func ChainRate(ch platform.Chain) (*big.Rat, error) {
-	return ch.Throughput()
-}
-
-// SpiderRate returns the exact steady-state throughput of a spider
-// under the master's one-port constraint (platform.Spider.Throughput):
-// the bandwidth-centric allocation of [2].
-func SpiderRate(sp platform.Spider) (*big.Rat, error) {
-	return sp.Throughput()
-}
-
-// LowerBoundChain returns a valid lower bound on the optimal makespan
-// of n tasks on the chain (platform.Chain.LowerBound): the larger of
-// the steady-state bound ⌈n/X⌉ and the best single-task completion.
-func LowerBoundChain(ch platform.Chain, n int) (platform.Time, error) {
-	return ch.LowerBound(n)
-}
-
-// LowerBoundSpider is LowerBoundChain for spiders.
-func LowerBoundSpider(sp platform.Spider, n int) (platform.Time, error) {
-	return sp.LowerBound(n)
-}
 
 // RateString renders a rational rate as "p/q (~x.xxx tasks/unit)".
 func RateString(r *big.Rat) string {

@@ -18,7 +18,7 @@ func ratEq(t *testing.T, got *big.Rat, num, den int64, what string) {
 
 func TestChainRateHandChecked(t *testing.T) {
 	// Single node (c=2, w=5): X = min(1/2, 1/5) = 1/5.
-	r, err := ChainRate(platform.NewChain(2, 5))
+	r, err := platform.NewChain(2, 5).Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestChainRateHandChecked(t *testing.T) {
 
 	// Fixture chain (2,5)(3,3): X_2 = min(1/3, 1/3) = 1/3;
 	// X_1 = min(1/2, 1/5 + 1/3) = min(1/2, 8/15) = 1/2.
-	r, err = ChainRate(platform.NewChain(2, 5, 3, 3))
+	r, err = platform.NewChain(2, 5, 3, 3).Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestChainRateHandChecked(t *testing.T) {
 
 	// Compute-bound tail: (c=1,w=10)->(c=1,w=10): X_2 = 1/10,
 	// X_1 = min(1, 1/10 + 1/10) = 1/5.
-	r, err = ChainRate(platform.NewChain(1, 10, 1, 10))
+	r, err = platform.NewChain(1, 10, 1, 10).Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestChainRateHandChecked(t *testing.T) {
 func TestChainRateLinkBottleneck(t *testing.T) {
 	// A slow first link caps everything: (c=10, w=1) -> X = 1/10
 	// regardless of the tail.
-	r, err := ChainRate(platform.NewChain(10, 1, 1, 1, 1, 1))
+	r, err := platform.NewChain(10, 1, 1, 1, 1, 1).Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSpiderRateHandChecked(t *testing.T) {
 	// Two single-node legs (c=2,w=2) and (c=2,w=2): each leg rate 1/2,
 	// port budget 1 gives r1 = min(1/2, 1/2)=1/2 spending 1, r2 = 0.
 	sp := platform.NewSpider(platform.NewChain(2, 2), platform.NewChain(2, 2))
-	r, err := SpiderRate(sp)
+	r, err := sp.Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSpiderRateHandChecked(t *testing.T) {
 	// Leg B rate min(1/2,1/2)=1/2, port left 3/4 allows (3/4)/2=3/8;
 	// r_B = 3/8. Total = 1/4+3/8 = 5/8.
 	sp = platform.NewSpider(platform.NewChain(1, 4), platform.NewChain(2, 2))
-	r, err = SpiderRate(sp)
+	r, err = sp.Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLowerBoundChainIsValid(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		ch := g.Chain(1 + trial%4)
 		n := 1 + 5*trial
-		lb, err := LowerBoundChain(ch, n)
+		lb, err := ch.LowerBound(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestLowerBoundChainAsymptoticallyTight(t *testing.T) {
 	// slack on a well-behaved chain.
 	ch := platform.NewChain(2, 5, 3, 3) // rate 1/2
 	for _, n := range []int{50, 100, 200} {
-		lb, err := LowerBoundChain(ch, n)
+		lb, err := ch.LowerBound(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,17 +120,17 @@ func TestLowerBoundChainAsymptoticallyTight(t *testing.T) {
 }
 
 func TestLowerBoundsDegenerate(t *testing.T) {
-	if _, err := LowerBoundChain(platform.Chain{}, 3); err == nil {
+	if _, err := (platform.Chain{}).LowerBound(3); err == nil {
 		t.Error("empty chain accepted")
 	}
-	lb, err := LowerBoundChain(fig2Chain(), 0)
+	lb, err := fig2Chain().LowerBound(0)
 	if err != nil || lb != 0 {
 		t.Errorf("n=0: %v %d", err, lb)
 	}
-	if _, err := LowerBoundSpider(platform.Spider{}, 3); err == nil {
+	if _, err := (platform.Spider{}).LowerBound(3); err == nil {
 		t.Error("empty spider accepted")
 	}
-	lb, err = LowerBoundSpider(platform.NewSpider(fig2Chain()), 0)
+	lb, err = platform.NewSpider(fig2Chain()).LowerBound(0)
 	if err != nil || lb != 0 {
 		t.Errorf("spider n=0: %v %d", err, lb)
 	}

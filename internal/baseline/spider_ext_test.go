@@ -1,7 +1,5 @@
-// These tests compare baseline bounds and heuristics against the
-// optimal spider solver. They live in the external test package:
-// spider imports baseline (the MinMakespan binary search is seeded
-// with LowerBoundSpider), so an in-package import would cycle.
+// These tests compare the baseline heuristics and the steady-state
+// lower bound against the optimal spider solver.
 package baseline_test
 
 import (
@@ -45,19 +43,36 @@ func TestLowerBoundSpiderIsValid(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		sp := g.Spider(2+trial%2, 2)
 		n := 2 + 3*trial
-		lb, err := baseline.LowerBoundSpider(sp, n)
+		lb, err := sp.LowerBound(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Against the UNSEEDED reference solver: the fast search seeds
-		// its lower bound with LowerBoundSpider, so comparing against
-		// it would be circular.
-		mk, _, err := spider.ReferenceMinMakespan(sp, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Against an UNSEEDED search: spider.MinMakespan seeds its
+		// bisection with this very bound, so comparing against it would
+		// be circular. Plain bisection over MaxTasks never reads it.
+		mk := unseededMinMakespan(t, sp, n)
 		if lb > mk {
 			t.Errorf("%v n=%d: lower bound %d exceeds optimum %d", sp, n, lb, mk)
 		}
 	}
+}
+
+// unseededMinMakespan bisects [1, master-only makespan] for the
+// smallest deadline at which spider.MaxTasks fits all n tasks.
+func unseededMinMakespan(t *testing.T, sp platform.Spider, n int) platform.Time {
+	t.Helper()
+	lo, hi := platform.Time(1), sp.MasterOnlyMakespan(n)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		k, err := spider.MaxTasks(sp, n, mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == n {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

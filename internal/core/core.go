@@ -36,6 +36,11 @@
 // emission would be negative. The result maximises the number of tasks
 // completed by Tlim (used per-leg by the spider algorithm of §7, and — by
 // binary search on Tlim — an alternative route to the optimal makespan).
+//
+// Both run on one flat kernel (placeNext), whose only per-task
+// allocation is the committed communication vector. The traced kernel
+// that materialises every candidate vector, for the Lemma 1/Lemma 2
+// structural checks, lives in the package's tests.
 package core
 
 import (
@@ -67,33 +72,6 @@ func ScheduleWithin(ch platform.Chain, n int, tlim platform.Time) (*sched.ChainS
 		return nil, fmt.Errorf("core: negative deadline %d", tlim)
 	}
 	return run(ch, n, tlim, true)
-}
-
-// Trace records, for every scheduled task, the candidate communication
-// vectors the algorithm weighed (index k-1 holds the candidate targeting
-// processor k) and the index of the chosen one. Tasks appear in emission
-// order, matching the returned schedule; candidate times are absolute
-// (pre-shift). Traces feed the Lemma 1/Lemma 2 structural checks and the
-// figure regeneration.
-type Trace struct {
-	Horizon platform.Time
-	// Candidates[i][k-1] is the candidate vector of task i+1 (emission
-	// order) targeting processor k.
-	Candidates [][][]platform.Time
-	// Chosen[i] is the 1-based processor picked for task i+1.
-	Chosen []int
-}
-
-// ScheduleTraced is Schedule plus the decision trace. The schedule is
-// shifted to start at 0 but the trace keeps absolute (pre-shift) times.
-// As with Schedule, the chain is validated exactly once.
-func ScheduleTraced(ch platform.Chain, n int) (*sched.ChainSchedule, *Trace, error) {
-	s, tr, err := runTraced(ch, n, ch.MasterOnlyMakespan(n), false)
-	if err != nil {
-		return nil, nil, err
-	}
-	shiftToZero(s)
-	return s, tr, nil
 }
 
 // run performs the backward construction toward the given horizon on
@@ -130,37 +108,6 @@ func run(ch platform.Chain, n int, horizon platform.Time, limited bool) (*sched.
 	return reverseBackward(ch, backward), nil
 }
 
-// runTraced is run plus the full decision trace: every candidate vector
-// the algorithm weighed is materialised, which costs O(p²) allocations
-// per task — callers that discard the trace must use run.
-func runTraced(ch platform.Chain, n int, horizon platform.Time, limited bool) (*sched.ChainSchedule, *Trace, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if n < 0 {
-		return nil, nil, errors.New("core: negative task count")
-	}
-	e := newEngine(ch, horizon)
-	tr := &Trace{Horizon: horizon}
-
-	backward := make([]sched.ChainTask, 0, n)
-	for i := 0; i < n; i++ {
-		task, cands, ok := e.placeNextTraced()
-		if !ok {
-			return nil, nil, errEmptyPlacement(ch)
-		}
-		if limited && task.Comms[0] < 0 {
-			break
-		}
-		e.commit(task)
-		backward = append(backward, task)
-		tr.Candidates = append(tr.Candidates, cands)
-		tr.Chosen = append(tr.Chosen, task.Proc)
-	}
-	reverseTrace(tr)
-	return reverseBackward(ch, backward), tr, nil
-}
-
 // errEmptyPlacement is the limited-mode guard of the degenerate case:
 // a placement with no candidate vector (an empty chain slipping past
 // validation, or a future engine bug) must surface as an error, never
@@ -181,13 +128,6 @@ func reverseBackward(ch platform.Chain, backward []sched.ChainTask) *sched.Chain
 		s.Normalize()
 	}
 	return s
-}
-
-func reverseTrace(tr *Trace) {
-	for i, j := 0, len(tr.Chosen)-1; i < j; i, j = i+1, j-1 {
-		tr.Chosen[i], tr.Chosen[j] = tr.Chosen[j], tr.Chosen[i]
-		tr.Candidates[i], tr.Candidates[j] = tr.Candidates[j], tr.Candidates[i]
-	}
 }
 
 func shiftToZero(s *sched.ChainSchedule) {
@@ -289,33 +229,6 @@ func flatVecLess(a, b []platform.Time) bool {
 		}
 	}
 	return len(a) > len(b)
-}
-
-// placeNextTraced is placeNext materialising every candidate vector for
-// the decision trace; it allocates O(p²) per call and exists only for
-// ScheduleTraced and the Lemma 1/Lemma 2 structural checks.
-func (e *engine) placeNextTraced() (sched.ChainTask, [][]platform.Time, bool) {
-	p := len(e.c) - 1
-	if p == 0 {
-		return sched.ChainTask{}, nil, false
-	}
-	cands := make([][]platform.Time, p)
-	for k := 1; k <= p; k++ {
-		v := make([]platform.Time, k)
-		v[k-1] = min(e.o[k]-e.w[k], e.h[k]) - e.c[k]
-		for j := k - 1; j >= 1; j-- {
-			v[j-1] = min(v[j], e.h[j]) - e.c[j]
-		}
-		cands[k-1] = v
-	}
-	best := sched.VecMaxIndex(cands)
-	proc := best + 1
-	task := sched.ChainTask{
-		Proc:  proc,
-		Start: e.o[proc] - e.w[proc],
-		Comms: append([]platform.Time(nil), cands[best]...),
-	}
-	return task, cands, true
 }
 
 // commit applies a placement returned by placeNext: the processor's

@@ -21,7 +21,8 @@ import (
 // it measures the E5 (chain) and E5c (spider) hot-path families and the
 // SVC service-layer families with a noise-robust min-of-reps harness,
 // dumps them as a JSON baseline (BENCH_seed.json at the repo root holds
-// the seed-era numbers, taken with the reference spider solver), and
+// the seed-era numbers, taken with the reference spider solver, slice
+// packer and per-leg construction that are test-only now), and
 // compares a fresh measurement against a stored baseline. Comparisons
 // scale by a calibration workload measured in both runs, so a baseline
 // recorded on one machine still yields meaningful ratios on another.
@@ -33,8 +34,8 @@ import (
 // phase-by-phase wall-time breakdown (construct, dedup, merge, pack,
 // extract) of one untraced-equivalent extra run of the cell, taken with
 // an obs.SolveTrace OUTSIDE the timed reps so the timed numbers stay
-// hook-free. The regression comparison ignores both (they are context,
-// not timings).
+// hook-free, in the same per-operation unit as NsPerOp. The regression
+// comparison ignores both (they are context, not timings).
 type BenchPoint struct {
 	Family         string           `json:"family"`
 	Size           int              `json:"size"`
@@ -78,8 +79,8 @@ func chainPhases(ch platform.Chain, n int) (map[string]int64, error) {
 // trace attached and returns its phase breakdown. It runs outside the
 // timed reps: the dump's ns_per_op stays a measurement of the untraced
 // path, and the breakdown is representative context next to it.
-func solvePhases(mk func() (*spider.Solver, error), n int) (map[string]int64, error) {
-	s, err := mk()
+func solvePhases(sp platform.Spider, n int) (map[string]int64, error) {
+	s, err := spider.NewSolver(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +90,15 @@ func solvePhases(mk func() (*spider.Solver, error), n int) (map[string]int64, er
 		return nil, err
 	}
 	return tr.Snapshot().Map(), nil
+}
+
+// perOpPhases scales a phase breakdown recorded over ops operations to
+// one operation, the unit of a cell's ns_per_op.
+func perOpPhases(total obs.PhaseSnapshot, ops int) map[string]int64 {
+	for p := range total.Ns {
+		total.Ns[p] /= int64(ops)
+	}
+	return total.Map()
 }
 
 // minTime returns the minimum wall time of reps runs of fn.
@@ -123,17 +133,15 @@ func calibrate() (int64, error) {
 // describe the same cells. svcSizes are the service-layer warm-query
 // task counts and svcFanIn the concurrent identical requests of the
 // coalesced-throughput cell. wideLegs/wideSizes are the E5w-wide cells:
-// min-makespan on a spider with hundreds of legs, where the packing
-// inner loop dominates and the streaming tree packer earns its keep.
-// probeLoopLegs/probeLoopN are the E5p-loop cells: the warm probe loop
-// (a binary-search deadline walk against a warmed solver) at two widths,
-// keyed by leg count — the workload the ceiling-bounded merge and packer
-// serve, guarded against the slice-packing path the -reference dump
-// measures. coldLegs/coldN are the E6-cold cells: one
-// cold min-makespan solve including plan construction, on the E6c
-// experiment's duplicate-heavy and all-distinct platforms, keyed by leg
-// count — the workload isomorphic-leg dedup collapses, guarded against
-// the dedup-off per-leg construction path the -reference dump measures.
+// min-makespan on a spider with hundreds of legs (wideSpider), where
+// the packing inner loop dominates. probeLoopLegs/probeLoopN are the
+// E5p-loop cells: the warm probe loop (a binary-search deadline walk
+// against a warmed solver) at two widths, keyed by leg count — the
+// workload the ceiling-bounded merge and packer serve. coldLegs/coldN
+// are the E6-cold cells: one cold min-makespan solve including plan
+// construction, on the E6c experiment's duplicate-heavy and
+// all-distinct platforms, keyed by leg count — the workload
+// isomorphic-leg dedup collapses.
 var (
 	chainSizes    = []int{512, 2048}
 	spiderSizes   = []int{32, 128, 512}
@@ -147,18 +155,14 @@ var (
 	coldN         = 512
 )
 
-// MeasureBenchBaseline measures the E5/E5c families. With reference
-// true the spider family runs the unmemoized reference solver — used to
-// freeze the seed-era baseline the regression test guards against.
-func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
+// MeasureBenchBaseline measures the regression families on the
+// production solvers.
+func MeasureBenchBaseline() (*BenchBaseline, error) {
 	calBefore, err := calibrate()
 	if err != nil {
 		return nil, err
 	}
 	b := &BenchBaseline{Note: "fast solver (ceiling-bounded merge + packer + leg dedup)", CalibrationNs: calBefore}
-	if reference {
-		b.Note = "reference solvers (E5c via spider.ReferenceMinMakespan; E5w-wide and E5p-loop via the slice-based packer; E6-cold via dedup-off per-leg construction)"
-	}
 
 	g := platform.MustGenerator(2024, 1, 9, platform.Uniform)
 	ch := g.Chain(16)
@@ -189,35 +193,22 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 			probes = int64(s.Stats().PackProbes)
 			return err
 		}
-		if reference {
-			solve = func() error {
-				_, _, err := spider.ReferenceMinMakespan(sp, n)
-				return err
-			}
-		}
 		d, err := minTime(benchReps, solve)
 		if err != nil {
 			return nil, err
 		}
 		pt := BenchPoint{Family: "E5c-spider", Size: n, NsPerOp: d.Nanoseconds(), ProbesPerSolve: probes}
-		if !reference {
-			// The reference solver has no trace hooks; the fast cell's
-			// breakdown comes from one extra traced solve.
-			if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return spider.NewSolver(sp) }, n); err != nil {
-				return nil, err
-			}
+		if pt.PhaseNs, err = solvePhases(sp, n); err != nil {
+			return nil, err
 		}
 		b.Points = append(b.Points, pt)
 	}
-	// E5w-wide: the wide-platform family of the E5w experiment. In
-	// reference mode the probes run the legacy slice-based packer — the
-	// pre-tree-packer implementation — freezing the comparison point the
-	// streaming tree packer is guarded against.
+	// E5w-wide: min-makespan on the wide-platform family.
 	wide := wideSpider(wideLegs)
 	for _, n := range wideSizes {
 		var probes int64
 		d, err := minTime(benchReps, func() error {
-			s, err := newWideSolver(wide, reference)
+			s, err := spider.NewSolver(wide)
 			if err != nil {
 				return err
 			}
@@ -229,16 +220,14 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 			return nil, err
 		}
 		pt := BenchPoint{Family: "E5w-wide", Size: n, NsPerOp: d.Nanoseconds(), ProbesPerSolve: probes}
-		if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return newWideSolver(wide, reference) }, n); err != nil {
+		if pt.PhaseNs, err = solvePhases(wide, n); err != nil {
 			return nil, err
 		}
 		b.Points = append(b.Points, pt)
 	}
-	// E5p-loop: the warm probe loop. In reference mode the probes run
-	// the slice-based packer over the whole materialised stream — the
-	// comparison point the ceiling path is guarded against.
+	// E5p-loop: the warm probe loop, timed per probe.
 	for _, legs := range probeLoopLegs {
-		s, err := newProbeSolver(wideSpider(legs), reference)
+		s, err := spider.NewSolver(wideSpider(legs))
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +249,8 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 			return nil, err
 		}
 		// One extra untimed walk with a trace attached gives the warm
-		// loop's own phase breakdown (the timed reps stay hook-free).
+		// loop's own phase breakdown (the timed reps stay hook-free),
+		// scaled to one probe like NsPerOp.
 		tr := &obs.SolveTrace{}
 		s.SetTrace(tr)
 		before := tr.Snapshot()
@@ -273,15 +263,11 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 			Family: "E5p-loop", Size: legs,
 			NsPerOp:        d.Nanoseconds() / int64(len(walk)),
 			ProbesPerSolve: probes,
-			PhaseNs:        tr.Snapshot().Sub(before).Map(),
+			PhaseNs:        perOpPhases(tr.Snapshot().Sub(before), len(walk)),
 		})
 	}
 	// E6-cold: cold construction — one min-makespan solve on a fresh
 	// solver, plan construction included, at the E6c experiment's cells.
-	// In reference mode the solver runs with leg dedup off — the per-leg
-	// construction path — freezing the comparison point isomorphic-leg
-	// dedup is guarded against. (The flat hull kernel is in both modes;
-	// its own regression shows up in every construction-bearing family.)
 	for _, cell := range []struct {
 		family string
 		build  func(int) platform.Spider
@@ -292,7 +278,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 		for _, legs := range coldLegs {
 			csp := cell.build(legs)
 			d, err := minTime(benchReps, func() error {
-				s, err := newColdSolver(csp, !reference)
+				s, err := spider.NewSolver(csp)
 				if err != nil {
 					return err
 				}
@@ -303,7 +289,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 				return nil, err
 			}
 			pt := BenchPoint{Family: cell.family, Size: legs, NsPerOp: d.Nanoseconds()}
-			if pt.PhaseNs, err = solvePhases(func() (*spider.Solver, error) { return newColdSolver(csp, !reference) }, coldN); err != nil {
+			if pt.PhaseNs, err = solvePhases(csp, coldN); err != nil {
 				return nil, err
 			}
 			b.Points = append(b.Points, pt)
@@ -312,7 +298,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 	// SVC-tree draws its platform from a dedicated generator so the
 	// existing cells' instances stay byte-identical to earlier dumps.
 	tg := platform.MustGenerator(77, 1, 9, platform.Uniform)
-	if err := measureServiceFamilies(b, sp, tg.Tree(3, 3), reference); err != nil {
+	if err := measureServiceFamilies(b, sp, tg.Tree(3, 3)); err != nil {
 		return nil, err
 	}
 	// Calibrate again after the families: if the machine picked up load
@@ -342,11 +328,7 @@ func MeasureBenchBaseline(reference bool) (*BenchBaseline, error) {
 //     DISTINCT deadline, so each is a memo miss that runs the warm
 //     solver (the O(1) scalar-memo path is SVC-warm's job), without
 //     the schedule-encode noise a schedule-bearing query would add.
-//     In reference mode every query hits a FRESH service — the cold,
-//     construction-per-query cost a world without warmed tree solvers
-//     would pay (servers are built outside the timed region) —
-//     freezing the bar the warm path is guarded against.
-func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tree, reference bool) error {
+func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tree) error {
 	svc := service.New(service.Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -371,38 +353,18 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 
 	for _, n := range svcSizes {
 		// The deadline walk descends from the optimum, one distinct
-		// value per rep, in both modes — the same solver work whether
-		// the baseline was frozen on this machine or another.
+		// value per rep: the same solver work on every machine.
 		opt, err := cl.MinMakespanTree(ctx, tr, n, false)
 		if err != nil {
 			return err
 		}
-		deadline := func(rep int) platform.Time {
-			return max(opt.Makespan-platform.Time(rep), 1)
-		}
 		rep := 0
-		query := func() error {
-			dl := deadline(rep)
+		d, err := minTime(benchReps, func() error {
+			dl := max(opt.Makespan-platform.Time(rep), 1)
 			rep++
 			_, err := cl.MaxTasksTree(ctx, tr, n, dl)
 			return err
-		}
-		if reference {
-			colds := make([]*client.Client, benchReps)
-			for i := range colds {
-				cts := httptest.NewServer(service.New(service.Config{}).Handler())
-				defer cts.Close()
-				colds[i] = client.New(cts.URL, cts.Client())
-			}
-			query = func() error {
-				cold := colds[rep]
-				dl := deadline(rep)
-				rep++
-				_, err := cold.MaxTasksTree(ctx, tr, n, dl)
-				return err
-			}
-		}
-		d, err := minTime(benchReps, query)
+		})
 		if err != nil {
 			return err
 		}

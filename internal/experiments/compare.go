@@ -94,7 +94,7 @@ func runBaselineComparison() (*Report, error) {
 // 1/throughput and the gap stays bounded (startup transient only).
 func runSteadyState() (*Report, error) {
 	ch := workload.LayeredChain(5, 2, 24)
-	rate, err := baseline.ChainRate(ch)
+	rate, err := ch.Throughput()
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func runSteadyState() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lb, err := baseline.LowerBoundChain(ch, n)
+		lb, err := ch.LowerBound(n)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fork"
 	"repro/internal/opt"
 	"repro/internal/platform"
 	"repro/internal/spider"
@@ -114,8 +113,10 @@ func runTheorem1(maxVal platform.Time, maxP, maxN, randomTrials int) (*Report, e
 	return &Report{Tables: []Table{tbl}}, nil
 }
 
-// runForkValidation sweeps 2-slave forks exhaustively: greedy task count
-// within deadlines vs the oracle, and min makespan vs the oracle.
+// runForkValidation sweeps 2-slave forks exhaustively: the task count
+// within deadlines and the min makespan of the §6 greedy — run, as in
+// production, by the spider solver on the fork's one-node-leg spider
+// form — vs the oracle.
 func runForkValidation(maxVal platform.Time, maxN int) (*Report, error) {
 	counts := Table{
 		Title:  "E6: fork algorithm — max tasks within deadline vs exhaustive optimum",
@@ -126,7 +127,7 @@ func runForkValidation(maxVal platform.Time, maxN int) (*Report, error) {
 		var sweepErr error
 		platform.EnumerateChains(2, maxVal, func(ch platform.Chain) bool {
 			f := platform.Fork{Slaves: ch.Nodes}
-			got, err := fork.MaxTasks(f, maxN, deadline)
+			got, err := spider.MaxTasks(f.Spider(), maxN, deadline)
 			if err != nil {
 				sweepErr = err
 				return false
@@ -160,7 +161,7 @@ func runForkValidation(maxVal platform.Time, maxN int) (*Report, error) {
 		var sweepErr error
 		platform.EnumerateChains(2, maxVal, func(ch platform.Chain) bool {
 			f := platform.Fork{Slaves: ch.Nodes}
-			mk, _, err := fork.MinMakespan(f, n)
+			mk, _, err := spider.MinMakespan(f.Spider(), n)
 			if err != nil {
 				sweepErr = err
 				return false

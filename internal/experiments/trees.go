@@ -74,7 +74,7 @@ func runTreeCover() (*Report, error) {
 			if err := s.Verify(); err != nil {
 				return nil, fmt.Errorf("tree heuristic schedule infeasible: %w", err)
 			}
-			lb, err := tree.LowerBound(tr, n)
+			lb, err := tr.LowerBound(n)
 			if err != nil {
 				return nil, err
 			}

@@ -11,7 +11,8 @@ import (
 // traversal is the emission order (decreasing effective processing time,
 // admission-stable among equals) carrying per-subtree aggregates, so one
 // candidate costs O(log n) to test and admit instead of the O(n)
-// elapsed/minSlack rebuild of the slice-based PackSorted.
+// elapsed/minSlack rebuild of the slice-based packer (PackSorted, the
+// test-only oracle in oracle_test.go).
 //
 // Per node the tree maintains, over its subtree,
 //
@@ -61,16 +62,6 @@ type treeNode struct {
 	left, right int32
 	commSum     platform.Time // Σ Comm over the subtree
 	minRel      platform.Time // min −(localElapsed+Proc) over the subtree
-}
-
-// NewPacker returns an empty packer admitting at most n virtual slaves
-// against the deadline.
-func NewPacker(n int, deadline platform.Time) (*Packer, error) {
-	p := &Packer{}
-	if err := p.Reset(n, deadline); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // Reset empties the packer for a new deadline and task budget and clears
@@ -305,21 +296,4 @@ func (p *Packer) Allocation() *Allocation {
 		id = p.nodes[id].right
 	}
 	return alloc
-}
-
-// PackTree is PackSorted on the balanced-tree packer: candidates already
-// in admission order stream through Offer, stopping once n tasks are
-// admitted. The input slice is not modified.
-func PackTree(order []platform.VirtualSlave, n int, deadline platform.Time) (*Allocation, error) {
-	p, err := NewPacker(n, deadline)
-	if err != nil {
-		return nil, err
-	}
-	for _, cand := range order {
-		if p.Full() {
-			break
-		}
-		p.Offer(cand)
-	}
-	return p.Allocation(), nil
 }

@@ -10,10 +10,8 @@ import (
 // LowerBound (Validate lives with each type) — so chains, spiders,
 // forks and trees are interchangeable behind one API. The
 // divisible-load relaxation math (steady-state rates and the lower
-// bounds derived from them) moved here from internal/baseline, which
-// keeps its exported functions as thin delegates: the methods cannot
-// live in baseline (Go methods must be declared in the type's package)
-// and the math depends on nothing but the platform model.
+// bounds derived from them) lives here because it depends on nothing
+// but the platform model; every caller uses these methods directly.
 
 // Kind names the platform's topology; the scheduling service keys its
 // solver-factory registry by these strings and the wire envelope tags

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fork"
+	"repro/internal/opt"
 	"repro/internal/platform"
 	"repro/internal/spider"
 )
@@ -370,7 +370,7 @@ func TestChainAndOneLegSpiderCoexist(t *testing.T) {
 }
 
 // TestForkSharesSpiderEntry: a fork and its spider form are one cache
-// entry, and fork answers match the §6 comparator.
+// entry, and fork answers match the exhaustive optimum.
 func TestForkSharesSpiderEntry(t *testing.T) {
 	f := platform.NewFork(1, 3, 2, 2, 3, 1)
 	svc := New(Config{})
@@ -383,7 +383,7 @@ func TestForkSharesSpiderEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fork.MaxTasks(f, 10, 12)
+	want, err := opt.BruteForkMaxTasks(f, 10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,9 @@ func TestLegDedupScheduleIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := NewSolver(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain.SetLegDedup(false)
+				plain := newPerLegSolver(t, sp)
 				if got := plain.DistinctLegPlans(); got != sp.NumLegs() {
-					t.Fatalf("dedup off owns %d plans, want one per leg (%d)", got, sp.NumLegs())
+					t.Fatalf("per-leg solver owns %d plans, want one per leg (%d)", got, sp.NumLegs())
 				}
 				if got := dedup.DistinctLegPlans(); got > sp.NumLegs() {
 					t.Fatalf("dedup on owns %d plans on %d legs", got, sp.NumLegs())
@@ -128,11 +124,7 @@ func TestLegDedupDuplicateRegimes(t *testing.T) {
 			if got := dedup.DistinctLegPlans(); got != tc.distinct {
 				t.Fatalf("solver owns %d plans, want %d", got, tc.distinct)
 			}
-			plain, err := NewSolver(tc.sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain.SetLegDedup(false)
+			plain := newPerLegSolver(t, tc.sp)
 
 			mkA, schA, err := dedup.MinMakespan(tc.n)
 			if err != nil {
@@ -149,37 +141,6 @@ func TestLegDedupDuplicateRegimes(t *testing.T) {
 				t.Fatalf("duplicate-leg schedule infeasible: %v", err)
 			}
 		})
-	}
-}
-
-// TestSetLegDedupToggleResets flips the knob on a warmed solver: the
-// rebuilt plans must answer identically to a fresh solver in either
-// mode, with no stale probe state surviving the flip.
-func TestSetLegDedupToggleResets(t *testing.T) {
-	g := platform.MustGenerator(77, 1, 5, platform.Bimodal)
-	sp := g.Spider(12, 2)
-	n := 30
-
-	s, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk0, sch0, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLegDedup(false)
-	mk1, sch1, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLegDedup(true)
-	mk2, sch2, err := s.MinMakespan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk0 != mk1 || mk0 != mk2 || !sch0.Equal(sch1) || !sch0.Equal(sch2) {
-		t.Fatalf("toggling dedup changed the answer: %d / %d / %d", mk0, mk1, mk2)
 	}
 }
 

@@ -22,27 +22,42 @@ func TestFastMatchesReferenceRandomized(t *testing.T) {
 		t.Run(regime.String(), func(t *testing.T) {
 			g := platform.MustGenerator(1234+int64(regime), 1, 9, regime)
 			for trial := 0; trial < trials; trial++ {
-				sp := g.Spider(1+trial%5, 1+trial%4)
-				n := 1 + trial%17
-				fastMk, fastS, err := MinMakespan(sp, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refMk, refS, err := ReferenceMinMakespan(sp, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fastMk != refMk {
-					t.Fatalf("%v n=%d: fast makespan %d, reference %d", sp, n, fastMk, refMk)
-				}
-				if !fastS.Equal(refS) {
-					t.Fatalf("%v n=%d: schedules diverge:\nfast: %vreference: %v", sp, n, fastS, refS)
-				}
-				if err := fastS.Verify(); err != nil {
-					t.Fatalf("%v n=%d: infeasible: %v", sp, n, err)
-				}
+				fastMatchesReference(t, g.Spider(1+trial%5, 1+trial%4), 1+trial%17)
 			}
 		})
+	}
+	t.Run("fixed", func(t *testing.T) {
+		fastMatchesReference(t, fixedSpider(), 6)
+	})
+}
+
+// fixedSpider is the hand-written two-leg instance the command-line
+// examples use.
+func fixedSpider() platform.Spider {
+	return platform.NewSpider(platform.NewChain(2, 5, 3, 3), platform.NewChain(1, 4))
+}
+
+// fastMatchesReference requires the memoized solver's min-makespan
+// answer to equal the reference path's: the same makespan and an
+// identical, feasible schedule.
+func fastMatchesReference(t *testing.T, sp platform.Spider, n int) {
+	t.Helper()
+	fastMk, fastS, err := MinMakespan(sp, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refMk, refS, err := ReferenceMinMakespan(sp, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fastMk != refMk {
+		t.Fatalf("%v n=%d: fast makespan %d, reference %d", sp, n, fastMk, refMk)
+	}
+	if !fastS.Equal(refS) {
+		t.Fatalf("%v n=%d: schedules diverge:\nfast: %vreference: %v", sp, n, fastS, refS)
+	}
+	if err := fastS.Verify(); err != nil {
+		t.Fatalf("%v n=%d: infeasible: %v", sp, n, err)
 	}
 }
 
@@ -50,27 +65,34 @@ func TestFastMatchesReferenceRandomized(t *testing.T) {
 // deadline-limited question across a sweep of deadlines, including the
 // degenerate low end where nothing fits.
 func TestFastMatchesReferenceDeadlineSweep(t *testing.T) {
+	type instance struct {
+		sp platform.Spider
+		n  int
+	}
+	cases := []instance{{fixedSpider(), 6}}
 	g := platform.MustGenerator(55, 1, 7, platform.Bimodal)
 	for trial := 0; trial < 8; trial++ {
-		sp := g.Spider(1+trial%4, 1+trial%3)
-		solver, err := NewSolver(sp)
+		cases = append(cases, instance{g.Spider(1+trial%4, 1+trial%3), 20})
+	}
+	for _, tc := range cases {
+		solver, err := NewSolver(tc.sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for deadline := platform.Time(0); deadline <= 60; deadline += 3 {
-			fastS, err := solver.ScheduleWithin(20, deadline)
+			fastS, err := solver.ScheduleWithin(tc.n, deadline)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refS, err := ReferenceScheduleWithin(sp, 20, deadline)
+			refS, err := ReferenceScheduleWithin(tc.sp, tc.n, deadline)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !fastS.Equal(refS) {
-				t.Fatalf("%v deadline %d: schedules diverge:\nfast: %vreference: %v", sp, deadline, fastS, refS)
+				t.Fatalf("%v deadline %d: schedules diverge:\nfast: %vreference: %v", tc.sp, deadline, fastS, refS)
 			}
 			if err := fastS.Verify(); err != nil {
-				t.Fatalf("%v deadline %d: infeasible: %v", sp, deadline, err)
+				t.Fatalf("%v deadline %d: infeasible: %v", tc.sp, deadline, err)
 			}
 		}
 	}

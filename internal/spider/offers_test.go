@@ -10,7 +10,7 @@ import (
 // probeMatchesSlice runs one MaxTasks and one ScheduleWithin probe on
 // the ceiling solver and the slice-packing oracle, requiring identical
 // answers and at most n + legs offers for the ceiling path's probe.
-func probeMatchesSlice(t *testing.T, label string, ceil, slice *Solver, n int, deadline platform.Time) {
+func probeMatchesSlice(t *testing.T, label string, ceil *Solver, slice *sliceOracle, n int, deadline platform.Time) {
 	t.Helper()
 	before := ceil.Stats().Offered
 	a, err := ceil.MaxTasks(n, deadline)
@@ -41,20 +41,15 @@ func probeMatchesSlice(t *testing.T, label string, ceil, slice *Solver, n int, d
 	}
 }
 
-// solverPair returns a ceiling-path solver and a slice-packing oracle
-// solver on the same spider.
-func solverPair(t *testing.T, sp platform.Spider) (*Solver, *Solver) {
+// solverPair returns a ceiling-path solver and the slice-packing oracle
+// on the same spider.
+func solverPair(t *testing.T, sp platform.Spider) (*Solver, *sliceOracle) {
 	t.Helper()
 	ceil, err := NewSolver(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice.SetSlicePacking(true)
-	return ceil, slice
+	return ceil, newSliceOracle(t, sp)
 }
 
 // TestGroupedMergeMatchesSlicePacking runs the grouped merge on the

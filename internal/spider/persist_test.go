@@ -95,11 +95,7 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice.SetSlicePacking(true)
+	slice := newSliceOracle(t, sp)
 
 	mkP, schP, err := persist.MinMakespan(n)
 	if err != nil {
@@ -131,15 +127,15 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 			t.Fatalf("deadline %d: warm and fresh schedules diverge", deadline)
 		}
 	}
-	st, ss := persist.Stats(), slice.Stats()
+	st := persist.Stats()
 	if st.PackProbes == 0 || st.Offered == 0 {
 		t.Fatalf("ceiling path did not run: %+v", st)
 	}
 	if bound := int64(st.PackProbes) * int64(n+sp.NumLegs()); st.Offered > bound {
 		t.Fatalf("%d offers over %d packing probes, want ≤ %d", st.Offered, st.PackProbes, bound)
 	}
-	if st.Offered >= ss.Offered {
-		t.Fatalf("ceiling path offered %d candidates, slice path streamed %d", st.Offered, ss.Offered)
+	if st.Offered >= slice.streamed {
+		t.Fatalf("ceiling path offered %d candidates, slice path streamed %d", st.Offered, slice.streamed)
 	}
 }
 
@@ -174,25 +170,35 @@ func TestTwoSidedSeedingReducesProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unseeded.SetTwoSidedSeeding(false)
 
 		mkA, schA, err := seeded.MinMakespan(tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mkB, schB, err := unseeded.MinMakespan(tc.n)
+		// The search the seeding replaced: bisection from the
+		// steady-state bound to the master-only makespan, every probe a
+		// packing probe.
+		lb, err := sp.LowerBound(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mkB, probes, err := bisectMinMakespan(sp, tc.n, lb, unseeded.MaxTasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schB, err := unseeded.ScheduleWithin(tc.n, mkB)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mkA != mkB || !schA.Equal(schB) {
 			t.Fatalf("legs=%d n=%d: seeded search diverged: %d vs %d", tc.legs, tc.n, mkA, mkB)
 		}
-		a, b := seeded.Stats(), unseeded.Stats()
-		if a.Probes >= b.Probes {
+		a := seeded.Stats()
+		if a.Probes >= probes {
 			t.Errorf("legs=%d n=%d: seeded search ran %d probes, unseeded %d — want a strict drop",
-				tc.legs, tc.n, a.Probes, b.Probes)
+				tc.legs, tc.n, a.Probes, probes)
 		}
-		if a.PackProbes >= b.PackProbes {
+		if b := unseeded.Stats(); a.PackProbes >= b.PackProbes {
 			t.Errorf("legs=%d n=%d: seeded search ran %d packing probes, unseeded %d — want a strict drop",
 				tc.legs, tc.n, a.PackProbes, b.PackProbes)
 		}
@@ -220,12 +226,15 @@ func TestTwoSidedSeedingSoundRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unseeded.SetTwoSidedSeeding(false)
 			mkA, schA, err := seeded.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkB, schB, err := unseeded.MinMakespan(n)
+			mkB, _, err := bisectMinMakespan(sp, n, 1, unseeded.MaxTasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schB, err := unseeded.ScheduleWithin(n, mkB)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,8 @@ package spider
 
 import (
 	"fmt"
+	"sort"
+	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fork"
@@ -10,12 +12,80 @@ import (
 )
 
 // This file keeps the original, direct implementation of the §7
-// algorithm as a slow reference path (exposed as -slow by cmd/msched).
-// It recomputes every leg plan from scratch at every deadline probe —
-// O(n·p²) per leg per probe — which the memoized solver in spider.go
-// amortises away. The equivalence tests replay both paths on randomized
-// instances and require identical schedules, so the reference anchors
-// the fast path's correctness to the exhaustively validated original.
+// algorithm as the test-only reference path. It recomputes every leg
+// plan from scratch at every deadline probe — O(n·p²) per leg per probe
+// — which the memoized solver in spider.go amortises away. The
+// equivalence tests replay both paths on randomized instances and
+// require identical schedules, so the reference anchors the fast path's
+// correctness to the exhaustively validated original.
+
+// packSorted is the slice-based fork packer, the independent
+// implementation of the §6 greedy that the reference and the
+// slice-packing oracle pack with: candidates already in admission order
+// (ascending platform.CompareVirtualSlaves) are kept whenever the
+// decreasing-Proc emission order stays feasible, and each acceptance
+// rebuilds the elapsed/minSlack state in O(n). The fork package's tests
+// hold the same packer beside the O(n²) spec and the tree packer.
+func packSorted(order []platform.VirtualSlave, n int, deadline platform.Time) (*fork.Allocation, error) {
+	if deadline < 0 {
+		return nil, fmt.Errorf("fork: negative deadline %d", deadline)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("fork: negative task count %d", n)
+	}
+	// selected is kept sorted by decreasing Proc (emission order), with
+	// elapsed[i] the cumulative communication through selected[i] and
+	// minSlack[i] = min_{j≥i} (deadline − elapsed[j] − selected[j].Proc).
+	var (
+		selected []platform.VirtualSlave
+		elapsed  []platform.Time
+		minSlack []platform.Time
+	)
+	for _, cand := range order {
+		if len(selected) == n {
+			break
+		}
+		pos := sort.Search(len(selected), func(i int) bool {
+			return selected[i].Proc < cand.Proc
+		})
+		var before platform.Time
+		if pos > 0 {
+			before = elapsed[pos-1]
+		}
+		if before+cand.Comm+cand.Proc > deadline {
+			continue
+		}
+		if pos < len(selected) && minSlack[pos] < cand.Comm {
+			continue
+		}
+		selected = append(selected, platform.VirtualSlave{})
+		copy(selected[pos+1:], selected[pos:])
+		selected[pos] = cand
+		elapsed = append(elapsed, 0)
+		for i := pos; i < len(selected); i++ {
+			var prev platform.Time
+			if i > 0 {
+				prev = elapsed[i-1]
+			}
+			elapsed[i] = prev + selected[i].Comm
+		}
+		minSlack = append(minSlack, 0)
+		for i := len(selected) - 1; i >= 0; i-- {
+			sl := deadline - elapsed[i] - selected[i].Proc
+			if i+1 < len(selected) && minSlack[i+1] < sl {
+				sl = minSlack[i+1]
+			}
+			minSlack[i] = sl
+		}
+	}
+	alloc := &fork.Allocation{Deadline: deadline, Slaves: make([]fork.Chosen, 0, len(selected))}
+	var at platform.Time
+	for _, v := range selected {
+		alloc.Slaves = append(alloc.Slaves, fork.Chosen{VirtualSlave: v, EmitStart: at})
+		at += v.Comm
+	}
+	return alloc, nil
+}
 
 // referenceLegPlans runs the time-limited chain algorithm on every leg
 // and returns the per-leg schedules plus the virtual slaves of step 2.
@@ -59,12 +129,12 @@ func ReferenceScheduleWithin(sp platform.Spider, n int, deadline platform.Time) 
 	if err != nil {
 		return nil, err
 	}
-	// Pack via the slice-based packer, NOT fork.Pack: the reference path
-	// must stay off the tree packer so the fast-vs-reference equivalence
-	// tests anchor the production packing to an independent
+	// Pack via the slice-based packer, NOT fork.Packer: the reference
+	// path must stay off the tree packer so the fast-vs-reference
+	// equivalence tests anchor the production packing to an independent
 	// implementation of the greedy.
 	platform.SortVirtualSlaves(virt)
-	alloc, err := fork.PackSorted(virt, n, deadline)
+	alloc, err := packSorted(virt, n, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -93,19 +163,6 @@ func ReferenceMaxTasks(sp platform.Spider, n int, deadline platform.Time) (int, 
 		return 0, err
 	}
 	return s.Len(), nil
-}
-
-// ReferenceSchedule mirrors Schedule via the reference path, including
-// its n=0 contract (an empty schedule on a valid spider).
-func ReferenceSchedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error) {
-	if n == 0 {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		return &sched.SpiderSchedule{Spider: sp}, nil
-	}
-	_, s, err := ReferenceMinMakespan(sp, n)
-	return s, err
 }
 
 // ReferenceMinMakespan is the original MinMakespan: binary search on
@@ -145,4 +202,22 @@ func ReferenceMinMakespan(sp platform.Spider, n int) (platform.Time, *sched.Spid
 		return 0, nil, fmt.Errorf("spider: internal error: %d tasks at deadline %d, want %d", s.Len(), lo, n)
 	}
 	return lo, s, nil
+}
+
+// BenchmarkSpiderMinMakespanReference runs the unmemoized reference
+// path on the instances of the root BenchmarkSpiderMinMakespan, so the
+// memoization's win stays measurable side by side.
+func BenchmarkSpiderMinMakespanReference(b *testing.B) {
+	g := platform.MustGenerator(5, 1, 9, platform.Uniform)
+	sp := g.Spider(4, 3)
+	for _, n := range []int{32, 128, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ReferenceMinMakespan(sp, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

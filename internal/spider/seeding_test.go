@@ -3,7 +3,6 @@ package spider
 import (
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/platform"
 )
 
@@ -21,7 +20,7 @@ func TestLowerBoundSeedIsSound(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			sp := g.Spider(1+trial%5, 1+trial%4)
 			n := 1 + trial%23
-			lb, err := baseline.LowerBoundSpider(sp, n)
+			lb, err := sp.LowerBound(n)
 			if err != nil {
 				t.Fatal(err)
 			}

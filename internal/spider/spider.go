@@ -22,10 +22,11 @@
 //
 // # The memoized solver
 //
-// A naive implementation (kept in reference.go) rebuilds every leg plan
-// at every deadline probe, for O(n·p²) per leg per probe — O(n²·p²)
-// overall (Theorem 2). The Solver in this file exploits two structural
-// facts of the backward construction (see core.Engine):
+// A naive implementation (the test-only reference in reference_test.go)
+// rebuilds every leg plan at every deadline probe, for O(n·p²) per leg
+// per probe — O(n²·p²) overall (Theorem 2). The Solver in this file
+// exploits two structural facts of the backward construction (see
+// core.Engine):
 //
 //   - translation invariance: the leg plan toward deadline T is the
 //     horizon-0 plan shifted by T, so one cached backward sequence per
@@ -107,18 +108,17 @@ func (lp *legPlan) proc(j int) platform.Time {
 // A Solver is not safe for concurrent use; independent Solvers are.
 type Solver struct {
 	sp platform.Spider
-	// legs[b] is leg b's plan view. With dedup on (the default),
-	// isomorphic legs — identical (c, w) sequences under platform.LegKey
-	// — share one *legPlan: the backward construction is paid once per
-	// distinct leg shape, not once per leg. Sharing is sound because a
-	// plan is a pure function of its chain (every consumer carries the
-	// leg index separately) and growth is deterministic.
+	// legs[b] is leg b's plan view. Isomorphic legs — identical (c, w)
+	// sequences under platform.LegKey — share one *legPlan: the backward
+	// construction is paid once per distinct leg shape, not once per
+	// leg. Sharing is sound because a plan is a pure function of its
+	// chain (every consumer carries the leg index separately) and growth
+	// is deterministic.
 	legs []*legPlan
 	// plans holds each distinct plan exactly once. The parallel prepare
 	// workers iterate plans, not legs, so no two goroutines ever grow
 	// the same shared plan.
-	plans    []*legPlan
-	dedupOff bool
+	plans []*legPlan
 
 	// order lists every leg by (c_1, Proc of its first candidate, leg)
 	// and groups splits it into runs of equal c_1; both are
@@ -129,14 +129,6 @@ type Solver struct {
 	groups []commGroup
 	heap   []mergeHead
 	packer *fork.Packer
-
-	// slicePack routes probes through the materialise-and-PackSorted
-	// oracle path; see SetSlicePacking. vbuf is its stream scratch.
-	slicePack bool
-	vbuf      []platform.VirtualSlave
-	// seed2off disables the two-sided deadline-search seeding; see
-	// SetTwoSidedSeeding.
-	seed2off bool
 
 	// rate and solo are the spider's steady-state throughput and best
 	// single-task completion, computed once by lowerBound (rateErr
@@ -190,15 +182,14 @@ type ProbeStats struct {
 	Solves int
 	// Probes counts feasibility probes (fits evaluations).
 	Probes int
-	// PackProbes counts probes that actually ran packing work — the
-	// expensive kind; the rest were settled by fit-count sums alone.
+	// PackProbes counts probes that ran packing work: every feasibility
+	// probe, plus the MaxTasks and ScheduleWithin calls.
 	PackProbes int
-	// CountChecks counts pure fit-count evaluations: sum-of-fits
-	// shortcut rejections and the seeding's bound search.
+	// CountChecks counts pure fit-count evaluations: the seeding's
+	// sum-of-fits bound search.
 	CountChecks int
 	// Offered counts candidates offered to the packer: at most n + legs
-	// per probe on the ceiling path, the whole materialised candidate
-	// stream per probe on the slice-packing oracle path.
+	// per probe.
 	Offered int64
 	// Constructed counts the backward placements built across the
 	// solver's distinct leg plans — the paid construction work, read at
@@ -280,25 +271,18 @@ func NewSolver(sp platform.Spider) (*Solver, error) {
 	return s, nil
 }
 
-// buildPlans (re)builds the per-leg plan views and the distinct-plan
-// set according to the current dedup setting.
+// buildPlans builds the per-leg plan views, sharing one plan among
+// isomorphic legs, and the distinct-plan set.
 func (s *Solver) buildPlans() error {
 	t0 := time.Now()
 	s.legs = make([]*legPlan, s.sp.NumLegs())
-	s.plans = s.plans[:0]
-	var shared map[string]*legPlan
-	if !s.dedupOff {
-		shared = make(map[string]*legPlan, len(s.legs))
-	}
+	shared := make(map[string]*legPlan, len(s.legs))
 	for b, leg := range s.sp.Legs {
-		var key string
-		if shared != nil {
-			key = platform.LegKey(leg)
-			if lp := shared[key]; lp != nil {
-				lp.mult++
-				s.legs[b] = lp
-				continue
-			}
+		key := platform.LegKey(leg)
+		if lp := shared[key]; lp != nil {
+			lp.mult++
+			s.legs[b] = lp
+			continue
 		}
 		inc, err := core.NewIncremental(leg)
 		if err != nil {
@@ -307,46 +291,17 @@ func (s *Solver) buildPlans() error {
 		lp := &legPlan{inc: inc, c1: leg.Comm(1), mult: 1}
 		s.legs[b] = lp
 		s.plans = append(s.plans, lp)
-		if shared != nil {
-			shared[key] = lp
-		}
+		shared[key] = lp
 	}
 	// Timed unconditionally (two clock reads on a cold path): a trace
 	// attached after construction still gets the set-up cost, flushed by
-	// SetTrace exactly once per build.
+	// SetTrace exactly once.
 	s.buildNs = time.Since(t0)
-	s.buildFlushed = false
 	return nil
 }
 
-// SetLegDedup toggles (default on) the isomorphic-leg plan sharing.
-// Off rebuilds one independent plan per leg — the pre-dedup cold path —
-// discarding all memoized growth. The schedules are identical either
-// way (a plan is a pure function of its chain); the knob exists for
-// that assertion and for the E6 ablation that measures what dedup buys
-// on duplicate-heavy platforms.
-func (s *Solver) SetLegDedup(on bool) {
-	if s.dedupOff == !on {
-		return
-	}
-	s.dedupOff = !on
-	if err := s.buildPlans(); err != nil {
-		// The spider validated in NewSolver; plan construction cannot
-		// fail on the same legs afterwards.
-		panic(fmt.Sprintf("spider: rebuilding leg plans: %v", err))
-	}
-	// The old plans are gone; drop the memo marks so the next probe
-	// grows the fresh plans, and re-attach the trace to them (flushing
-	// the rebuild's set-up cost). The merge order names legs, not plans,
-	// so it stays valid.
-	s.prepN, s.prepDeadline = 0, 0
-	s.SetTrace(s.trace)
-	s.SetCancel(s.cancel)
-}
-
 // DistinctLegPlans returns how many backward constructions the solver
-// actually owns: the number of distinct leg shapes under dedup, or the
-// leg count with dedup off.
+// actually owns: the number of distinct leg shapes.
 func (s *Solver) DistinctLegPlans() int { return len(s.plans) }
 
 // Spider returns the platform the solver schedules on.
@@ -367,8 +322,8 @@ func (s *Solver) prepare(n int, deadline platform.Time) error {
 	s.prepN = max(s.prepN, n)
 	s.prepDeadline = max(s.prepDeadline, deadline)
 	n, deadline = s.prepN, s.prepDeadline
-	// Growth walks the distinct plans: with dedup on, a shape shared by
-	// m legs is constructed once here and read m times later. Iterating
+	// Growth walks the distinct plans: a shape shared by m legs is
+	// constructed once here and read m times later. Iterating
 	// plans (not legs) is also what keeps the pool race-free — each
 	// worker owns the plans it draws, and no plan appears twice.
 	if len(s.plans) < 2 || n < 2 {
@@ -587,23 +542,6 @@ func siftDown(h []mergeHead, i int) {
 	}
 }
 
-// SetSlicePacking routes every subsequent probe through the oracle
-// path: every leg's run is materialised from its fit count, sorted into
-// admission order and packed by the slice-based fork.PackSorted, with
-// no ceiling and no merge. Both paths produce identical schedules (the
-// equivalence tests assert it); the knob exists for that assertion and
-// for the E5p and E5w experiments that compare the two.
-func (s *Solver) SetSlicePacking(on bool) { s.slicePack = on }
-
-// SetTwoSidedSeeding toggles (default on) the two-sided deadline-search
-// seeding of MinMakespan: the sum-of-fits lower-bound tightening and
-// the galloping feasible-upper-bound discovery. Off reverts to the PR 2
-// search (steady-state lower bound, master-only upper bound). The
-// converged optimum is identical either way — both bounds are proven —
-// which the equivalence tests assert; the knob exists for them and for
-// the probe-count telemetry comparison.
-func (s *Solver) SetTwoSidedSeeding(on bool) { s.seed2off = !on }
-
 // countFits returns the sum of the per-leg fit counts for the deadline
 // — the length of the probe's candidate stream — evaluating each
 // distinct plan once.
@@ -620,21 +558,6 @@ func (s *Solver) countFits(n int, deadline platform.Time) int {
 	return total
 }
 
-// slicePackProbe is the oracle probe: the full candidate stream is
-// materialised, sorted and packed from scratch by the slice packer.
-func (s *Solver) slicePackProbe(n int, deadline platform.Time) (*fork.Allocation, error) {
-	s.stats.PackProbes++
-	s.vbuf = s.vbuf[:0]
-	for b, lp := range s.legs {
-		for j, k := 0, lp.fit(n, deadline); j < k; j++ {
-			s.vbuf = append(s.vbuf, platform.VirtualSlave{Comm: lp.c1, Proc: lp.proc(j), Leg: b, Rank: j})
-		}
-	}
-	s.stats.Offered += int64(len(s.vbuf))
-	platform.SortVirtualSlaves(s.vbuf)
-	return fork.PackSorted(s.vbuf, n, deadline)
-}
-
 // probe runs one deadline probe and returns the number of admitted
 // tasks, materialising the allocation only when alloc is set. In the
 // allocation, Rank is each admitted candidate's backward index.
@@ -643,13 +566,6 @@ func (s *Solver) probe(n int, deadline platform.Time, alloc bool) (int, *fork.Al
 	if s.trace != nil {
 		t0 = time.Now()
 		defer s.trace.ObserveSince(obs.PhasePack, t0)
-	}
-	if s.slicePack {
-		a, err := s.slicePackProbe(n, deadline)
-		if err != nil {
-			return 0, nil, err
-		}
-		return a.Len(), a, nil
 	}
 	p, err := s.pack(n, deadline)
 	if err != nil {
@@ -679,11 +595,9 @@ func (s *Solver) MaxTasks(n int, deadline platform.Time) (k int, err error) {
 }
 
 // fits reports whether all n tasks complete within the deadline; the
-// binary-search probe of MinMakespan. In the unseeded search, a probe
-// whose per-leg fit counts sum below n is rejected without packing (the
-// packing admits a subset of the stream). The seeded search never meets
-// that case: it starts at a deadline whose fit counts already sum to n,
-// and fit counts only grow with the deadline.
+// binary-search probe of MinMakespan. It always packs: the search starts
+// at a deadline whose per-leg fit counts already sum to n, and fit
+// counts only grow with the deadline.
 func (s *Solver) fits(n int, deadline platform.Time) (bool, error) {
 	if s.testProbeHook != nil {
 		s.testProbeHook()
@@ -695,10 +609,6 @@ func (s *Solver) fits(n int, deadline platform.Time) (bool, error) {
 		return false, err
 	}
 	s.stats.Probes++
-	if s.seed2off && s.countFits(n, deadline) < n {
-		s.stats.CountChecks++
-		return false, nil
-	}
 	m, _, err := s.probe(n, deadline, false)
 	return m == n, err
 }
@@ -720,17 +630,22 @@ func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (out *sched.Spide
 	if err != nil {
 		return nil, err
 	}
-	// Revert (Lemma 3): the chosen virtual slave (leg b, backward index
-	// j) is leg b's backward placement j with its first send moved to the
-	// packed slot. The packing guarantees EmitStart ≤ the original C_1,
-	// so moving the send earlier keeps condition (1); port slots are
-	// pairwise disjoint by construction.
 	var t0 time.Time
 	if s.trace != nil {
 		t0 = time.Now()
 		defer s.trace.ObserveSince(obs.PhaseExtract, t0)
 	}
-	out = &sched.SpiderSchedule{Spider: s.sp}
+	return s.revert(alloc, deadline)
+}
+
+// revert turns a packing at the deadline into a spider schedule (Lemma
+// 3): the chosen virtual slave (leg b, backward index j) is leg b's
+// backward placement j with its first send moved to the packed slot.
+// The packing guarantees EmitStart ≤ the original C_1, so moving the
+// send earlier keeps condition (1); port slots are pairwise disjoint by
+// construction.
+func (s *Solver) revert(alloc *fork.Allocation, deadline platform.Time) (*sched.SpiderSchedule, error) {
+	out := &sched.SpiderSchedule{Spider: s.sp}
 	for _, c := range alloc.Slaves {
 		t := s.legs[c.Leg].inc.Backward(c.Rank).Shifted(deadline)
 		if c.EmitStart > t.Comms[0] {
@@ -765,7 +680,7 @@ func (s *Solver) lowerBound(n int) (platform.Time, error) {
 // one ceiling-bounded packing.
 //
 // The search interval is seeded from both sides. Below: the proven
-// steady-state lower bound (platform.Spider.LowerBound, PR 2) is
+// steady-state lower bound (platform.Spider.LowerBound) is
 // tightened to the sum-of-fits bound — the smallest deadline whose
 // per-leg fit counts sum to n, a necessary condition for feasibility
 // found by binary search over fit counts alone, no packing. Above: the
@@ -810,17 +725,16 @@ func (s *Solver) MinMakespan(n int) (mk platform.Time, sol *sched.SpiderSchedule
 	}
 	br.Lo, br.Hi = lo, hi
 	brValid = true
-	if s.seed2off || lo >= hi {
+	if lo >= hi {
 		if err := s.prepare(n, hi); err != nil {
 			return 0, nil, err
 		}
 	} else {
-		// Seeded: grow the leg plans only as far as the search actually
-		// climbs, instead of to the master-only horizon. Every probe
-		// below goes through prepare first, so the parallel growth still
-		// happens — but it stops a port-contention gap above the
-		// optimum, which on wide platforms is a fraction of the
-		// master-only cover that the PR 2 search constructed upfront.
+		// Grow the leg plans only as far as the search actually climbs,
+		// instead of to the master-only horizon. Every probe below goes
+		// through prepare first, so the parallel growth still happens —
+		// but it stops a port-contention gap above the optimum, which on
+		// wide platforms is a fraction of the master-only cover.
 		if err := s.prepare(n, lo); err != nil {
 			return 0, nil, err
 		}

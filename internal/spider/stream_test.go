@@ -8,9 +8,8 @@ import (
 )
 
 // TestStreamingMatchesSlicePacking runs the same solver queries through
-// the default streaming tree-packer path and the legacy materialise-and-
-// PackSorted path (SetSlicePacking): makespans and schedules must be
-// identical — the streaming feed changes how the admission-order
+// the streaming tree-packer path and the materialise-and-pack slice
+// oracle: makespans and schedules must be identical — the streaming feed changes how the admission-order
 // multiset reaches the packer, never what is admitted.
 func TestStreamingMatchesSlicePacking(t *testing.T) {
 	trials := 40
@@ -26,11 +25,7 @@ func TestStreamingMatchesSlicePacking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slice, err := NewSolver(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slice.SetSlicePacking(true)
+			slice := newSliceOracle(t, sp)
 
 			mkS, schS, err := stream.MinMakespan(n)
 			if err != nil {
@@ -75,7 +70,7 @@ func TestStreamingMatchesSlicePacking(t *testing.T) {
 }
 
 // TestStreamingMatchesSlicePackingWide is the same identity on a wide
-// platform (hundreds of legs) — the E5w regime where the streaming tree
+// platform (hundreds of legs) — the wide regime where the streaming tree
 // packer exists to win, and where a divergence would be invisible to
 // the small randomized trials.
 func TestStreamingMatchesSlicePackingWide(t *testing.T) {
@@ -90,11 +85,7 @@ func TestStreamingMatchesSlicePackingWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := NewSolver(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice.SetSlicePacking(true)
+	slice := newSliceOracle(t, sp)
 
 	mkS, schS, err := stream.MinMakespan(n)
 	if err != nil {

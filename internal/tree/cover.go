@@ -3,7 +3,6 @@ package tree
 import (
 	"math/big"
 
-	"repro/internal/baseline"
 	"repro/internal/platform"
 )
 
@@ -75,7 +74,7 @@ func bestPath(root Node) (platform.Chain, []int) {
 	walk = func(n Node, nodes []platform.Node, path []int) {
 		nodes = append(nodes, platform.Node{Comm: n.Comm, Work: n.Work})
 		candidate := platform.Chain{Nodes: nodes}
-		rate, err := baseline.ChainRate(candidate)
+		rate, err := candidate.Throughput()
 		if err == nil {
 			better := bestRate == nil || rate.Cmp(bestRate) > 0
 			if !better && rate.Cmp(bestRate) == 0 {

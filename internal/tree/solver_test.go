@@ -123,7 +123,7 @@ func TestSolverMatchesOneShotSchedule(t *testing.T) {
 		}
 		// The solver is exact on spider-shaped trees: cross-check one.
 		sp := g.Spider(3, 2)
-		ts, err := NewSolver(FromSpider(sp))
+		ts, err := NewSolver(platform.TreeFromSpider(sp))
 		if err != nil {
 			t.Fatal(err)
 		}

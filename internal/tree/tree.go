@@ -22,26 +22,10 @@
 //     covering heuristic's gap can be measured rather than guessed.
 package tree
 
-import (
-	"math/big"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // Node is one processor of the tree (alias of platform.TreeNode).
 type Node = platform.TreeNode
 
 // Tree is a rooted tree of processors (alias of platform.Tree).
 type Tree = platform.Tree
-
-// FromSpider embeds a spider as a tree (each leg a unary path).
-func FromSpider(sp platform.Spider) Tree { return platform.TreeFromSpider(sp) }
-
-// Rate returns the exact steady-state task rate of the tree
-// (platform.Tree.Throughput: the recursive one-port bandwidth-centric
-// allocation).
-func Rate(t Tree) (*big.Rat, error) { return t.Throughput() }
-
-// LowerBound returns a proven lower bound on the optimal makespan of n
-// tasks on the tree (platform.Tree.LowerBound).
-func LowerBound(t Tree, n int) (platform.Time, error) { return t.LowerBound(n) }

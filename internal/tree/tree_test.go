@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/opt"
 	"repro/internal/platform"
 )
@@ -50,7 +49,7 @@ func TestValidateAndShape(t *testing.T) {
 
 func TestFromSpiderIsSpider(t *testing.T) {
 	sp := platform.NewSpider(platform.NewChain(2, 3, 3, 5), platform.NewChain(1, 4))
-	tr := FromSpider(sp)
+	tr := platform.TreeFromSpider(sp)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +67,11 @@ func TestRateMatchesChainAndSpiderRates(t *testing.T) {
 	g := platform.MustGenerator(55, 1, 9, platform.Uniform)
 	for trial := 0; trial < 8; trial++ {
 		ch := g.Chain(1 + trial%4)
-		want, err := baseline.ChainRate(ch)
+		want, err := ch.Throughput()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Rate(FromSpider(platform.NewSpider(ch)))
+		got, err := platform.TreeFromSpider(platform.NewSpider(ch)).Throughput()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +80,11 @@ func TestRateMatchesChainAndSpiderRates(t *testing.T) {
 		}
 
 		sp := g.Spider(2+trial%3, 3)
-		wantSp, err := baseline.SpiderRate(sp)
+		wantSp, err := sp.Throughput()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSp, err := Rate(FromSpider(sp))
+		gotSp, err := platform.TreeFromSpider(sp).Throughput()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +103,7 @@ func TestRateBranchyHandChecked(t *testing.T) {
 	//   X(root1) = min(1/3, 1/1) = 1/3.
 	//   master: (1,...) first: r=1 costs 1, budget 0; root1 gets 0.
 	//   total = 1.
-	rate, err := Rate(branchy())
+	rate, err := branchy().Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestBruteMatchesSpiderOracleOnSpiderTrees(t *testing.T) {
 	g := platform.MustGenerator(77, 1, 4, platform.Uniform)
 	for trial := 0; trial < 6; trial++ {
 		sp := g.Spider(2, 2)
-		tr := FromSpider(sp)
+		tr := platform.TreeFromSpider(sp)
 		for n := 1; n <= 3; n++ {
 			_, wantMk, err := opt.BruteSpider(sp, n)
 			if err != nil {
@@ -139,14 +138,14 @@ func TestBruteMatchesSpiderOracleOnSpiderTrees(t *testing.T) {
 func TestLowerBoundNeverExceedsOptimum(t *testing.T) {
 	trees := []Tree{
 		branchy(),
-		FromSpider(platform.NewSpider(platform.NewChain(2, 3, 3, 5), platform.NewChain(1, 4))),
+		platform.TreeFromSpider(platform.NewSpider(platform.NewChain(2, 3, 3, 5), platform.NewChain(1, 4))),
 		{Roots: []Node{{Comm: 1, Work: 2, Children: []Node{
 			{Comm: 1, Work: 1}, {Comm: 1, Work: 1}, {Comm: 2, Work: 2},
 		}}}},
 	}
 	for ti, tr := range trees {
 		for n := 1; n <= 3; n++ {
-			lb, err := LowerBound(tr, n)
+			lb, err := tr.LowerBound(n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +166,7 @@ func TestCoverIsExactOnSpiders(t *testing.T) {
 	g := platform.MustGenerator(88, 1, 4, platform.Uniform)
 	for trial := 0; trial < 5; trial++ {
 		sp := g.Spider(2, 2)
-		tr := FromSpider(sp)
+		tr := platform.TreeFromSpider(sp)
 		for n := 1; n <= 3; n++ {
 			mk, s, cov, err := Schedule(tr, n)
 			if err != nil {

@@ -22,7 +22,8 @@
 //   - ScheduleSpider / SpiderMinMakespan: the §7 algorithm for spider
 //     graphs, optimal by Theorem 3, built on the fork-graph machinery of
 //     Beaumont et al. recalled in §6;
-//   - ForkMinMakespan / ForkMaxTasks: the §6 fork-graph comparator;
+//   - ForkMinMakespan / ForkMaxTasks: the §6 fork-graph problem, solved
+//     as the fork's one-node-leg spider;
 //   - ScheduleTree (tree.go): the §8 covering heuristic for general
 //     trees;
 //   - lower bounds and exact steady-state throughputs from the
@@ -43,9 +44,7 @@ import (
 	"io"
 	"math/big"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/fork"
 	"repro/internal/gantt"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -153,23 +152,33 @@ func SpiderMinMakespan(sp Spider, n int) (Time, *SpiderSchedule, error) {
 }
 
 // ForkMinMakespan returns the optimal makespan for n tasks on a fork
-// graph together with a schedule achieving it (§6, after [2]).
+// graph together with a schedule achieving it (§6, after [2]). It
+// solves through the same spider solver as NewSolver(f), so the
+// schedule is the one NewSolver(f).MinMakespan returns.
 func ForkMinMakespan(f Fork, n int) (Time, *SpiderSchedule, error) {
-	mk, s, err := fork.MinMakespan(f, n)
-	return mk, s, wrapKindErr("fork", err)
+	s, err := newForkSolver(f)
+	if err != nil {
+		return 0, nil, err
+	}
+	mk, sch, err := s.MinMakespan(n)
+	return mk, sch, wrapKindErr("fork", err)
 }
 
 // ForkMaxTasks returns how many of at most n tasks complete on the fork
 // within the deadline.
 func ForkMaxTasks(f Fork, n int, deadline Time) (int, error) {
-	k, err := fork.MaxTasks(f, n, deadline)
+	s, err := newForkSolver(f)
+	if err != nil {
+		return 0, err
+	}
+	k, err := s.MaxTasks(n, deadline)
 	return k, wrapKindErr("fork", err)
 }
 
 // ChainThroughput returns the exact steady-state task rate of the chain
-// (the divisible-load relaxation; see internal/baseline).
+// (the divisible-load relaxation).
 func ChainThroughput(ch Chain) (*big.Rat, error) {
-	r, err := baseline.ChainRate(ch)
+	r, err := ch.Throughput()
 	return r, wrapKindErr("chain", err)
 }
 
@@ -177,20 +186,20 @@ func ChainThroughput(ch Chain) (*big.Rat, error) {
 // spider under the master's one-port constraint (the bandwidth-centric
 // allocation of [2]).
 func SpiderThroughput(sp Spider) (*big.Rat, error) {
-	r, err := baseline.SpiderRate(sp)
+	r, err := sp.Throughput()
 	return r, wrapKindErr("spider", err)
 }
 
 // ChainLowerBound returns a proven lower bound on the optimal makespan
 // of n tasks on the chain (steady-state rate plus startup latency).
 func ChainLowerBound(ch Chain, n int) (Time, error) {
-	lb, err := baseline.LowerBoundChain(ch, n)
+	lb, err := ch.LowerBound(n)
 	return lb, wrapKindErr("chain", err)
 }
 
 // SpiderLowerBound is ChainLowerBound for spiders.
 func SpiderLowerBound(sp Spider, n int) (Time, error) {
-	lb, err := baseline.LowerBoundSpider(sp, n)
+	lb, err := sp.LowerBound(n)
 	return lb, wrapKindErr("spider", err)
 }
 

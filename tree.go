@@ -3,6 +3,7 @@ package repro
 import (
 	"math/big"
 
+	"repro/internal/platform"
 	"repro/internal/tree"
 )
 
@@ -18,7 +19,7 @@ type TreeNode = tree.Node
 type TreeCover = tree.Cover
 
 // TreeFromSpider embeds a spider as a tree.
-func TreeFromSpider(sp Spider) Tree { return tree.FromSpider(sp) }
+func TreeFromSpider(sp Spider) Tree { return platform.TreeFromSpider(sp) }
 
 // ScheduleTree schedules n tasks on a general tree with the §8 covering
 // heuristic: the best-rate downward path of every subtree forms a
@@ -34,13 +35,13 @@ func ScheduleTree(t Tree, n int) (Time, *SpiderSchedule, *TreeCover, error) {
 // TreeThroughput returns the exact steady-state task rate of the tree
 // (recursive one-port bandwidth-centric allocation).
 func TreeThroughput(t Tree) (*big.Rat, error) {
-	r, err := tree.Rate(t)
+	r, err := t.Throughput()
 	return r, wrapKindErr("tree", err)
 }
 
 // TreeLowerBound returns a proven lower bound on the optimal makespan
 // of n tasks on the tree.
 func TreeLowerBound(t Tree, n int) (Time, error) {
-	lb, err := tree.LowerBound(t, n)
+	lb, err := t.LowerBound(n)
 	return lb, wrapKindErr("tree", err)
 }
