@@ -105,7 +105,11 @@ func BenchmarkForkMinMakespan(b *testing.B) {
 			b.Run(fmt.Sprintf("slaves=%d/n=%d", slaves, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := repro.ForkMinMakespan(f, n); err != nil {
+					s, err := repro.NewSolver(f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := s.MinMakespan(n); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/tree"
 )
 
 func TestRunChainInline(t *testing.T) {
@@ -71,7 +72,7 @@ func TestRunPlatformFile(t *testing.T) {
 
 // TestRunTreePlatformFile: a tree platform file schedules through the
 // unified API — the §8 cover — and the JSON artifact is a feasible
-// spider schedule matching direct repro.ScheduleTree.
+// spider schedule matching the tree engine's own (tree.Schedule).
 func TestRunTreePlatformFile(t *testing.T) {
 	tr := repro.Tree{Roots: []repro.TreeNode{
 		{Comm: 1, Work: 4, Children: []repro.TreeNode{
@@ -102,12 +103,12 @@ func TestRunTreePlatformFile(t *testing.T) {
 		}
 	}
 
-	wantMk, wantSched, _, err := repro.ScheduleTree(tr, 8)
+	wantMk, wantSched, _, err := tree.Schedule(tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), fmt.Sprintf("makespan: %d", wantMk)) {
-		t.Errorf("output does not carry ScheduleTree's makespan %d:\n%s", wantMk, out.String())
+		t.Errorf("output does not carry tree.Schedule's makespan %d:\n%s", wantMk, out.String())
 	}
 	jf, err := os.Open(js)
 	if err != nil {
@@ -119,7 +120,7 @@ func TestRunTreePlatformFile(t *testing.T) {
 		t.Fatalf("tree schedule artifact: %v %+v", err, dec)
 	}
 	if !dec.Spider.Equal(wantSched) {
-		t.Error("artifact schedule differs from direct repro.ScheduleTree")
+		t.Error("artifact schedule differs from direct tree.Schedule")
 	}
 }
 

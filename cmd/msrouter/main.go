@@ -19,8 +19,6 @@
 //	                summed) plus the router's forward/failover counters
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail
-//	GET  /stats   — per-shard stats side by side plus a summed fleet
-//	                block
 //	GET  /shards  — the shard map (members + vnodes) for clients that
 //	                route themselves (client.WithShards)
 //

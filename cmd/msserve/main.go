@@ -18,12 +18,11 @@
 //	                op/n/deadline; answers carry cache/coalesce
 //	                metadata and a per-solve cost block (probe counts,
 //	                phase-by-phase wall time)
-//	GET  /stats   — hits, misses, coalesced, memo hits, constructions,
-//	                evictions, sheds, timeouts, quarantines, uptime
 //	GET  /metrics — Prometheus text exposition: per-(kind, op) solve
-//	                latency histograms split warm/cold, cache counters,
-//	                per-phase solve time, in-flight and queue-depth
-//	                gauges, shed/timeout/quarantine counters
+//	                latency histograms split warm/cold, cache and memo
+//	                counters, constructions, evictions, per-phase solve
+//	                time, in-flight and queue-depth gauges,
+//	                shed/timeout/quarantine counters, uptime
 //	GET  /healthz — readiness: 200 while accepting traffic, 503 once
 //	                draining or the admission queue is saturated
 //	GET  /livez   — liveness: 200 until the process exits

@@ -13,15 +13,50 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/spider"
+	"repro/internal/tree"
 )
+
+// daemon is a running msserve: a client for its /solve surface plus
+// its base URL for the other endpoints.
+type daemon struct {
+	*client.Client
+	base string
+}
+
+// scrape reads the daemon's /metrics exposition.
+func (d *daemon) scrape() (*obs.Exposition, error) {
+	resp, err := http.Get(d.base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return obs.ParseExposition(resp.Body)
+}
+
+// counters reads the named unlabelled series from /metrics.
+func (d *daemon) counters(t *testing.T, names ...string) map[string]float64 {
+	t.Helper()
+	e, err := d.scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, name := range names {
+		if out[name], err = e.Value(name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
 
 // startServer boots msserve on a random port and returns a client for
 // it plus the shutdown handle.
-func startServer(t *testing.T, args []string) (*client.Client, context.CancelFunc, *bytes.Buffer, chan error) {
+func startServer(t *testing.T, args []string) (*daemon, context.CancelFunc, *bytes.Buffer, chan error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var out bytes.Buffer
@@ -30,7 +65,8 @@ func startServer(t *testing.T, args []string) (*client.Client, context.CancelFun
 	go func() { done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &out, ready) }()
 	select {
 	case addr := <-ready:
-		return client.New("http://"+addr, nil), cancel, &out, done
+		base := "http://" + addr
+		return &daemon{Client: client.New(base, nil), base: base}, cancel, &out, done
 	case err := <-done:
 		cancel()
 		t.Fatalf("server exited before ready: %v", err)
@@ -39,7 +75,7 @@ func startServer(t *testing.T, args []string) (*client.Client, context.CancelFun
 }
 
 // TestServeQueryShutdown is the end-to-end daemon test: boot, query
-// cold and warm, read stats, drain gracefully.
+// cold and warm, read the counters, drain gracefully.
 func TestServeQueryShutdown(t *testing.T) {
 	cl, cancel, out, done := startServer(t, []string{"-cache", "8"})
 	defer cancel()
@@ -73,17 +109,14 @@ func TestServeQueryShutdown(t *testing.T) {
 		t.Error("daemon schedule differs from the direct solve")
 	}
 
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit and 1 miss", st)
+	st := cl.counters(t, "repro_service_hits_total", "repro_service_misses_total")
+	if st["repro_service_hits_total"] != 1 || st["repro_service_misses_total"] != 1 {
+		t.Errorf("metrics = %v, want 1 hit and 1 miss", st)
 	}
 
 	// An exact scalar repeat rides the result memo: the first scalar
 	// query solves and seeds it, the second answers from it, and the
-	// counter travels /stats.
+	// counter travels /metrics.
 	if _, err := cl.MinMakespanSpider(ctx, sp, n, false); err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +127,8 @@ func TestServeQueryShutdown(t *testing.T) {
 	if !memoed.Meta.Memo || memoed.Makespan != wantMk {
 		t.Errorf("memo repeat: memo=%v makespan=%d, want memo hit with makespan %d", memoed.Meta.Memo, memoed.Makespan, wantMk)
 	}
-	if st, err = cl.Stats(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st.MemoHits != 1 {
-		t.Errorf("memo_hits = %d over the daemon, want 1", st.MemoHits)
+	if memo := cl.counters(t, "repro_service_memo_hits_total")["repro_service_memo_hits_total"]; memo != 1 {
+		t.Errorf("memo hits = %v over the daemon, want 1", memo)
 	}
 
 	cancel()
@@ -117,11 +147,11 @@ func TestServeQueryShutdown(t *testing.T) {
 	}
 }
 
-// TestServeTreeMatchesScheduleTree is the PR's acceptance criterion
-// end to end: a tree served through the msserve daemon answers with a
-// makespan and schedule identical to direct repro.ScheduleTree, and
-// warm repeats hit the LRU and the scalar memo — counter-asserted over
-// /stats.
+// TestServeTreeMatchesScheduleTree checks trees end to end: a tree
+// served through the msserve daemon answers with a makespan and
+// schedule identical to the tree engine's (tree.Schedule), and warm
+// repeats hit the LRU and the scalar memo, counter-asserted over
+// /metrics.
 func TestServeTreeMatchesScheduleTree(t *testing.T) {
 	cl, cancel, _, done := startServer(t, nil)
 	defer cancel()
@@ -135,7 +165,7 @@ func TestServeTreeMatchesScheduleTree(t *testing.T) {
 		{Comm: 3, Work: 2},
 	}}
 	n := 19
-	wantMk, wantSched, _, err := repro.ScheduleTree(tr, n)
+	wantMk, wantSched, _, err := tree.Schedule(tr, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +183,14 @@ func TestServeTreeMatchesScheduleTree(t *testing.T) {
 	}
 	for _, resp := range []*service.Response{cold, warm} {
 		if resp.Makespan != wantMk {
-			t.Errorf("served makespan %d, want ScheduleTree's %d", resp.Makespan, wantMk)
+			t.Errorf("served makespan %d, want tree.Schedule's %d", resp.Makespan, wantMk)
 		}
 		dec, err := resp.DecodeSchedule()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !dec.Spider.Equal(wantSched) {
-			t.Error("served tree schedule differs from direct repro.ScheduleTree")
+			t.Error("served tree schedule differs from direct tree.Schedule")
 		}
 	}
 
@@ -175,12 +205,9 @@ func TestServeTreeMatchesScheduleTree(t *testing.T) {
 	if !memoed.Meta.Memo || memoed.Makespan != wantMk {
 		t.Errorf("tree memo repeat: memo=%v makespan=%d, want memo hit with %d", memoed.Meta.Memo, memoed.Makespan, wantMk)
 	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Constructions != 1 || st.Hits != 3 || st.MemoHits != 1 {
-		t.Errorf("stats = %+v, want 1 construction, 3 hits, 1 memo hit", st)
+	st := cl.counters(t, "repro_service_constructions_total", "repro_service_hits_total", "repro_service_memo_hits_total")
+	if st["repro_service_constructions_total"] != 1 || st["repro_service_hits_total"] != 3 || st["repro_service_memo_hits_total"] != 1 {
+		t.Errorf("metrics = %v, want 1 construction, 3 hits, 1 memo hit", st)
 	}
 	cancel()
 	<-done
@@ -218,15 +245,13 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st := cl.counters(t, "repro_service_constructions_total", "repro_service_hits_total",
+		"repro_service_coalesced_total", "repro_service_misses_total")
+	if st["repro_service_constructions_total"] != 1 {
+		t.Errorf("constructions = %v, want 1 (one platform, 30 queries)", st["repro_service_constructions_total"])
 	}
-	if st.Constructions != 1 {
-		t.Errorf("constructions = %d, want 1 (one platform, 30 queries)", st.Constructions)
-	}
-	if st.Hits+st.Coalesced+st.Misses != 30 {
-		t.Errorf("hits %d + coalesced %d + misses %d != 30 queries", st.Hits, st.Coalesced, st.Misses)
+	if st["repro_service_hits_total"]+st["repro_service_coalesced_total"]+st["repro_service_misses_total"] != 30 {
+		t.Errorf("hits + coalesced + misses != 30 queries: %v", st)
 	}
 	cancel()
 	<-done
@@ -376,18 +401,21 @@ func TestServeLameDuckReadiness(t *testing.T) {
 	}
 }
 
-// waitForMisses polls /stats until the miss counter reaches want —
+// waitForMisses polls /metrics until the miss counter reaches want —
 // the sign a cold request has entered construction.
-func waitForMisses(t *testing.T, cl *client.Client, want uint64) {
+func waitForMisses(t *testing.T, cl *daemon, want float64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := cl.Stats(context.Background())
-		if err == nil && st.Misses >= want {
-			return
+		e, err := cl.scrape()
+		if err == nil {
+			var misses float64
+			if misses, err = e.Value("repro_service_misses_total", nil); err == nil && misses >= want {
+				return
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("misses never reached %d (stats err %v)", want, err)
+			t.Fatalf("misses never reached %v (scrape err %v)", want, err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -58,7 +58,7 @@ func TestVerifyInfeasibleChain(t *testing.T) {
 
 func TestVerifyFeasibleSpider(t *testing.T) {
 	sp := platform.NewSpider(platform.NewChain(2, 3, 3, 5), platform.NewChain(1, 4))
-	s, err := spider.Schedule(sp, 6)
+	_, s, err := spider.MinMakespan(sp, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -113,9 +114,10 @@ type diffEntry struct {
 // two shards. Every entry point must give the same task count and
 // makespan and, for schedule-bearing queries, the same schedule
 // document in the requester's numbering; every schedule must pass
-// Verify; and the answers must equal the exhaustive-search optimum for
-// chains, spiders and forks, and bound the tree optimum from above
-// (with equality on spider-shaped trees).
+// Verify and replay in the discrete-event simulator; and the answers
+// must equal the exhaustive-search optimum for chains, spiders and
+// forks, and bound the tree optimum from above (with equality on
+// spider-shaped trees).
 func TestEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
 	direct := service.New(service.Config{})
@@ -150,6 +152,7 @@ func TestEntryPointsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkOracleMakespan(t, c, mk)
+			checkReplay(t, sch, true)
 			deadlines := []repro.Time{mk, mk - 1, mk * 2 / 3, 0}
 
 			type query struct {
@@ -173,6 +176,7 @@ func TestEntryPointsAgree(t *testing.T) {
 					t.Fatalf("deadline %d: MaxTasks %d, ScheduleWithin schedules %d", dl, k, w.Len())
 				}
 				checkOracleTasks(t, c, dl, k)
+				checkReplay(t, w, false)
 				doc := verifiedBytes(t, w)
 				qs = append(qs,
 					query{op: service.OpMaxTasks, dl: dl, want: diffAnswer{tasks: k}, doc: doc},
@@ -227,6 +231,32 @@ func verifiedBytes(t *testing.T, s repro.Schedule) []byte {
 		t.Fatalf("NewSolver schedule infeasible: %v", err)
 	}
 	return scheduleBytes(t, s)
+}
+
+// checkReplay replays a schedule in the discrete-event simulator, each
+// task gated at its scheduled emission: the run must finish by the
+// schedule's makespan, and exactly at it when the schedule is optimal
+// (a tree's is optimal on its cover spider, the platform it is
+// expressed on).
+func checkReplay(t *testing.T, s repro.Schedule, optimal bool) {
+	t.Helper()
+	if s.Len() == 0 {
+		return
+	}
+	var res *sim.Result
+	var err error
+	switch v := s.(type) {
+	case *repro.ChainSchedule:
+		res, err = sim.RunChain(v.Chain, v.Len(), sim.NewGatedFromChain("replay", v))
+	case *repro.SpiderSchedule:
+		res, err = sim.Run(v.Spider, v.Len(), sim.NewGatedFromSpider("replay", v))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan > s.Makespan() || (optimal && res.Makespan != s.Makespan()) {
+		t.Fatalf("replay finishes at %d, schedule at %d (optimal %t)", res.Makespan, s.Makespan(), optimal)
+	}
 }
 
 // checkOracleMakespan holds the optimal makespan to the exhaustive

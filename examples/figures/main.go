@@ -43,7 +43,11 @@ func main() {
 	}
 
 	if *svgPath != "" {
-		s, err := repro.ScheduleChain(workload.Fig2Chain(), workload.Fig2TaskCount)
+		solver, err := repro.NewSolver(workload.Fig2Chain())
+		if err != nil {
+			log.Fatal(err)
+		}
+		_, s, err := solver.MinMakespan(workload.Fig2TaskCount)
 		if err != nil {
 			log.Fatal(err)
 		}

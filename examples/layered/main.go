@@ -22,7 +22,7 @@ func main() {
 	chain := workload.LayeredChain(5, 2, 24)
 	fmt.Println("layered chain:", chain)
 
-	rate, err := repro.ChainThroughput(chain)
+	rate, err := chain.Throughput()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,19 +40,25 @@ func main() {
 	}
 	fmt.Println()
 
+	// One warmed solver answers every task count: the backward
+	// construction grows once and is reused by each larger n.
+	solver, err := repro.NewSolver(chain)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, n := range []int{10, 20, 40, 80, 160} {
-		optimal, err := repro.ScheduleChain(chain, n)
+		mk, optimal, err := solver.MinMakespan(n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := optimal.Verify(); err != nil {
 			log.Fatal("bug: optimal schedule must verify: ", err)
 		}
-		lb, err := repro.ChainLowerBound(chain, n)
+		lb, err := chain.LowerBound(n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%6d  %8d  %8d", n, optimal.Makespan(), lb)
+		fmt.Printf("%6d  %8d  %8d", n, mk, lb)
 		for _, h := range heuristics {
 			s, err := h.Schedule(chain, n)
 			if err != nil {

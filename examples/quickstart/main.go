@@ -20,7 +20,11 @@ func main() {
 	)
 
 	// Schedule 5 tasks with the optimal backward algorithm (Theorem 1).
-	schedule, err := repro.ScheduleChain(chain, 5)
+	solver, err := repro.NewSolver(chain)
+	if err != nil {
+		log.Fatal(err)
+	}
+	makespan, schedule, err := solver.MinMakespan(5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,11 +38,11 @@ func main() {
 	fmt.Printf("platform: %s\n\n", chain)
 	fmt.Print(schedule)
 
-	fmt.Printf("\nmakespan: %d (provably minimal)\n", schedule.Makespan())
-	if lb, err := repro.ChainLowerBound(chain, 5); err == nil {
+	fmt.Printf("\nmakespan: %d (provably minimal)\n", makespan)
+	if lb, err := chain.LowerBound(5); err == nil {
 		fmt.Printf("steady-state relaxation bound: %d\n", lb)
 	}
-	if rate, err := repro.ChainThroughput(chain); err == nil {
+	if rate, err := chain.Throughput(); err == nil {
 		fmt.Printf("asymptotic throughput: %s tasks/unit\n", rate.RatString())
 	}
 

@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("tree:", t)
 	fmt.Println("processors:", t.NumProcs(), " already a spider:", t.IsSpider())
 
-	rate, err := repro.TreeThroughput(t)
+	rate, err := t.Throughput()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +38,11 @@ func main() {
 		rate.RatString(), f)
 
 	const n = 24
-	mk, schedule, cover, err := repro.ScheduleTree(t, n)
+	solver, err := repro.NewSolver(t)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mk, schedule, err := solver.MinMakespan(n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,12 +50,14 @@ func main() {
 		log.Fatal("bug: cover schedule must verify: ", err)
 	}
 
+	// A tree schedule is expressed on the cover: the spider whose legs
+	// are the chosen paths.
 	fmt.Println("spider cover (one best-rate path per subtree):")
-	for b, leg := range cover.Spider.Legs {
-		fmt.Printf("  leg %d: %s  (child path %v)\n", b, leg, cover.Paths[b])
+	for b, leg := range schedule.(*repro.SpiderSchedule).Spider.Legs {
+		fmt.Printf("  leg %d: %s\n", b, leg)
 	}
 
-	lb, err := repro.TreeLowerBound(t, n)
+	lb, err := t.LowerBound(n)
 	if err != nil {
 		log.Fatal(err)
 	}

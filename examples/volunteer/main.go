@@ -31,7 +31,11 @@ func main() {
 	fmt.Printf("volunteers: %d, work units: %d\n\n", spider.NumProcs(), tasks)
 
 	// Offline optimum.
-	makespan, schedule, err := repro.SpiderMinMakespan(spider, tasks)
+	solver, err := repro.NewSolver(spider)
+	if err != nil {
+		log.Fatal(err)
+	}
+	makespan, schedule, err := solver.MinMakespan(tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func main() {
 		log.Fatal("bug: optimal schedule must verify: ", err)
 	}
 	fmt.Printf("offline optimal makespan: %d\n", makespan)
-	counts := schedule.CountsByLeg()
+	counts := schedule.(*repro.SpiderSchedule).CountsByLeg()
 	fmt.Print("  tasks per volunteer leg: ")
 	fmt.Println(counts)
 
@@ -81,7 +85,7 @@ func main() {
 
 	// The master's port is the shared bottleneck the paper's model
 	// centres on; the steady-state rate quantifies it exactly.
-	if rate, err := repro.SpiderThroughput(spider); err == nil {
+	if rate, err := spider.Throughput(); err == nil {
 		f, _ := rate.Float64()
 		fmt.Printf("\nsteady-state throughput: %s (~%.3f tasks/unit)\n", rate.RatString(), f)
 		fmt.Printf("=> %d tasks need at least ~%.0f time units\n", tasks, float64(tasks)/f)

@@ -30,8 +30,6 @@ const routerMaxBody = 16 << 20
 //	                own forward/failover counters.
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail either way.
-//	GET  /stats   — per-shard /stats bodies side by side, with the
-//	                numeric fields summed into a fleet block.
 //	GET  /shards  — the shard map (members + vnode count), so clients
 //	                can build the identical ring and route locally.
 //
@@ -101,7 +99,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/solve", rt.handleSolve)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/stats", rt.handleStats)
 	mux.HandleFunc("/shards", rt.handleShards)
 	return mux
 }
@@ -407,38 +404,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(h)
-}
-
-// handleStats returns every shard's /stats body side by side plus a
-// fleet block summing the numeric fields — counter totals across the
-// fleet (averages like uptime_seconds are summed too; read per-shard
-// for those).
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET the stats")
-		return
-	}
-	fleet := map[string]float64{}
-	shards := map[string]json.RawMessage{}
-	for shard, reply := range rt.shardGet(r, "/stats") {
-		if reply.err != nil || reply.status != http.StatusOK {
-			shards[shard] = json.RawMessage(`null`)
-			continue
-		}
-		shards[shard] = json.RawMessage(reply.body)
-		var fields map[string]any
-		if err := json.Unmarshal(reply.body, &fields); err == nil {
-			for k, v := range fields {
-				if f, ok := v.(float64); ok {
-					fleet[k] += f
-				}
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{"fleet": fleet, "shards": shards})
 }
 
 // ShardMapBody is the GET /shards payload: everything a client needs

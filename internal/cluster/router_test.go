@@ -189,7 +189,7 @@ func TestRouterMergedMetrics(t *testing.T) {
 }
 
 // TestRouterHealthAndStats: fleet health is the conjunction of shard
-// health, and fleet stats sum the numeric fields.
+// health, and the merged /metrics sums the shards' counters.
 func TestRouterHealthAndStats(t *testing.T) {
 	a := newShard(t, service.Config{})
 	b := newShard(t, service.Config{})
@@ -228,23 +228,22 @@ func TestRouterHealthAndStats(t *testing.T) {
 	// One solve per shard, then the fleet miss count is 2.
 	postSolve(t, router.URL, solveBody(t, spiderOwnedBy(t, rt.Ring(), a.ts.URL), 20)).Body.Close()
 	postSolve(t, router.URL, solveBody(t, spiderOwnedBy(t, rt.Ring(), b.ts.URL), 20)).Body.Close()
+	if v, err := routerMetrics(t, router.URL).Value("repro_service_misses_total", nil); err != nil || v != 2 {
+		t.Errorf("fleet misses_total = %v (err %v), want 2", v, err)
+	}
+	for _, sh := range []*shard{a, b} {
+		if st := sh.svc.Stats(); st.Misses != 1 {
+			t.Errorf("shard %s misses = %d, want 1", sh.ts.URL, st.Misses)
+		}
+	}
+	// The fleet counters come from /metrics alone; there is no /stats.
 	resp, err = http.Get(router.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats struct {
-		Fleet  map[string]float64         `json:"fleet"`
-		Shards map[string]json.RawMessage `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if stats.Fleet["misses"] != 2 {
-		t.Errorf("fleet misses = %v, want 2", stats.Fleet["misses"])
-	}
-	if len(stats.Shards) != 2 {
-		t.Errorf("stats carries %d shards, want 2", len(stats.Shards))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("router /stats = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -322,9 +322,8 @@ func MeasureBenchBaseline() (*BenchBaseline, error) {
 //   - SVC-coalesce: per-request latency when svcFanIn concurrent
 //     identical queries hit the service at once, which exercises the
 //     singleflight path under contention;
-//   - SVC-tree: warm max-tasks latency for a general tree — the
-//     solver-factory registry path where the warmed entry is a cached
-//     §8 cover plus its inner spider solver. Every timed rep probes a
+//   - SVC-tree: warm max-tasks latency for a general tree, whose
+//     warmed entry is a cached §8 cover plus its inner spider solver. Every timed rep probes a
 //     DISTINCT deadline, so each is a memo miss that runs the warm
 //     solver (the O(1) scalar-memo path is SVC-warm's job), without
 //     the schedule-encode noise a schedule-bearing query would add.

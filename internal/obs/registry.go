@@ -191,8 +191,8 @@ func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram
 }
 
 // HistogramSnapshots returns every histogram instance's snapshot keyed
-// by "name{labels}" — the JSON-side view of the latency data (/stats
-// consumers and tests).
+// by "name{labels}" — the in-process view of the latency data (for
+// tests and benchmarks).
 func (r *Registry) HistogramSnapshots() map[string]HistogramSnapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

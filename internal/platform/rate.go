@@ -14,8 +14,8 @@ import (
 // but the platform model; every caller uses these methods directly.
 
 // Kind names the platform's topology; the scheduling service keys its
-// solver-factory registry by these strings and the wire envelope tags
-// platforms with them.
+// cache by the kind of a platform's solver form, and the wire envelope
+// tags platforms with these strings.
 func (ch Chain) Kind() string { return "chain" }
 
 // Kind names the platform's topology (see Chain.Kind).

@@ -118,7 +118,7 @@ func warmReserve(workers, configured int) int {
 }
 
 // depth returns the total wait-queue depth across both classes (the
-// queue_depth gauge and the /stats field keep their PR 8 meaning).
+// queue_depth gauge and the Stats field).
 func (a *admission) depth() int64 { return a.queuedWarm.Load() + a.queuedCold.Load() }
 
 // classDepth returns one class's wait-queue depth.

@@ -4,14 +4,15 @@
 // (platform.Hash) with singleflight coalescing of identical in-flight
 // queries.
 //
-// The memoized solvers (spider.Solver, core.Incremental) are built for
-// exactly this reuse pattern: one cached per-leg backward construction
-// answers every (task count, deadline) probe, so the expensive work is
-// paid once per platform and amortised across all traffic that follows.
+// The warmed solvers come from internal/solve, the kind → engine
+// mapping the public facade uses too, and are built for exactly this
+// reuse pattern: one cached per-leg backward construction answers every
+// (task count, deadline) probe, so the expensive work is paid once per
+// platform and amortised across all traffic that follows.
 // The service keeps those warmed solvers alive across requests,
 // deduplicates concurrent identical queries into a single solve, bounds
 // concurrent solver work with a worker cap, and reports cache/coalesce
-// metadata per response plus aggregate counters on /stats.
+// metadata per response plus aggregate counters on /metrics.
 package service
 
 import (
@@ -52,8 +53,7 @@ func (op Op) valid() bool {
 
 // Request is one /solve query. Platform carries a tagged platform
 // envelope in the msgen/msched file format (platform.Read); chains,
-// spiders, forks and trees are all accepted — every kind in the
-// service's solver-factory registry.
+// spiders, forks and trees are all accepted.
 type Request struct {
 	Platform json.RawMessage `json:"platform"`
 	Op       Op              `json:"op"`
@@ -181,7 +181,8 @@ const (
 	BoundBracket = "bracket"
 )
 
-// Stats is the aggregate counter snapshot served on /stats.
+// Stats is an in-process snapshot of the aggregate counters, read back
+// from the metric registry that GET /metrics exposes.
 type Stats struct {
 	// Hits counts queries answered by an already-warmed solver.
 	Hits uint64 `json:"hits"`
@@ -267,7 +268,7 @@ func NewForkRequest(f platform.Fork, op Op, n int, deadline platform.Time) (*Req
 
 // NewTreeRequest builds a /solve request for a tree. Responses carry
 // schedules expressed on the tree's §8 covering spider (uncovered
-// processors idle), exactly like repro.ScheduleTree.
+// processors idle), exactly like repro.NewSolver(t).
 func NewTreeRequest(t platform.Tree, op Op, n int, deadline platform.Time) (*Request, error) {
 	var buf bytes.Buffer
 	if err := platform.WriteTree(&buf, t); err != nil {

@@ -436,24 +436,3 @@ func (c *Client) MaxTasksSpider(ctx context.Context, sp platform.Spider, n int, 
 	}
 	return c.Do(ctx, req)
 }
-
-// Stats fetches the service's aggregate counters.
-func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: stats answered %s", hresp.Status)
-	}
-	var st service.Stats
-	if err := json.NewDecoder(hresp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("client: decoding stats: %w", err)
-	}
-	return &st, nil
-}

@@ -31,9 +31,9 @@ func testSpider() platform.Spider {
 }
 
 // TestClientRoundTrip drives the full wire path: solve over HTTP, read
-// cache metadata, decode the schedule, check /stats.
+// cache metadata, decode the schedule, check the service's counters.
 func TestClientRoundTrip(t *testing.T) {
-	_, cl := testServer(t, service.Config{})
+	svc, cl := testServer(t, service.Config{})
 	ctx := context.Background()
 	sp := testSpider()
 	n := 15
@@ -68,12 +68,8 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("wire schedule infeasible: %v", err)
 	}
 
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits != 1 || st.Misses != 1 || st.Constructions != 1 {
-		t.Errorf("stats over the wire: %+v, want 1 hit, 1 miss, 1 construction", st)
+	if st := svc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Constructions != 1 {
+		t.Errorf("stats: %+v, want 1 hit, 1 miss, 1 construction", st)
 	}
 
 	mt, err := cl.MaxTasksSpider(ctx, sp, 20, 25)

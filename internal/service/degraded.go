@@ -68,7 +68,7 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 	}
 	switch q.req.Op {
 	case OpMinMakespan:
-		lb, err := q.lowerBound(q.req.N)
+		lb, err := q.p.LowerBound(q.req.N)
 		if err != nil {
 			return nil, false
 		}
@@ -88,7 +88,7 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 			}
 		}
 	case OpMaxTasks:
-		ub, err := q.tasksUpper(q.req.N, q.req.Deadline)
+		ub, err := q.p.TasksUpperBound(q.req.N, q.req.Deadline)
 		if err != nil {
 			return nil, false
 		}
@@ -109,30 +109,4 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 		s.m.degradedCancel.Inc()
 	}
 	return resp, true
-}
-
-// lowerBound is the O(legs) steady-state lower bound of the query's
-// platform — computable from the parsed request alone, no solver.
-func (q *query) lowerBound(n int) (platform.Time, error) {
-	switch q.key.kind {
-	case "chain":
-		return q.chain.LowerBound(n)
-	case "tree":
-		return q.tr.LowerBound(n)
-	default: // "spider" (forks normalised to it at parse)
-		return q.sp.LowerBound(n)
-	}
-}
-
-// tasksUpper is the throughput-capped task-count upper bound of the
-// query's platform — the max_tasks analogue of lowerBound.
-func (q *query) tasksUpper(n int, deadline platform.Time) (int, error) {
-	switch q.key.kind {
-	case "chain":
-		return q.chain.TasksUpperBound(n, deadline)
-	case "tree":
-		return q.tr.TasksUpperBound(n, deadline)
-	default:
-		return q.sp.TasksUpperBound(n, deadline)
-	}
 }

@@ -26,7 +26,6 @@ const statusClientClosedRequest = 499
 // Handler returns the service's HTTP surface:
 //
 //	POST /solve   — one Request in, one Response out (JSON)
-//	GET  /stats   — aggregate counters (Stats, JSON)
 //	GET  /metrics — Prometheus text exposition of the metric registry
 //	GET  /healthz — readiness probe: 200 while serving, 503 once
 //	                draining or the admission queue is saturated
@@ -37,7 +36,6 @@ const statusClientClosedRequest = 499
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/solve", s.handleSolve)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/livez", s.handleLivez)
@@ -127,14 +125,6 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET the stats"})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

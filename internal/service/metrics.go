@@ -13,7 +13,7 @@ const metricsContentType = obs.ExpositionContentType
 
 // metrics is the service's registry façade. Every aggregate counter the
 // service maintains lives in the obs.Registry — the source of truth
-// behind both GET /metrics and GET /stats — and the pointers are
+// behind both GET /metrics and Service.Stats — and the pointers are
 // resolved once at New so the serving paths never take the registry
 // lock. That matters beyond speed: the entries/uptime gauges are
 // GaugeFuncs that take s.mu during exposition (registry read lock

@@ -94,7 +94,7 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// Registry counters agree with /stats.
+	// Registry counters agree with Service.Stats.
 	st := svc.Stats()
 	for name, want := range map[string]uint64{
 		"repro_service_hits_total":          st.Hits,

@@ -20,6 +20,7 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/solve"
 	"repro/internal/spider"
 )
 
@@ -182,12 +183,12 @@ func (s *Service) Metrics() *obs.Registry { return s.m.reg }
 // uptime is the time since New.
 func (s *Service) uptime() time.Duration { return time.Since(s.start) }
 
-// ckey is the cache key: the canonical fingerprint plus the solver
-// kind (kindHandler.solverKind). The kind matters because a chain and
-// its one-leg spider share a fingerprint by design but are answered by
-// different engines whose optimal schedules — and wire envelopes —
-// legitimately differ; forks normalise to the spider kind, so a fork
-// and its spider form still share one warmed solver.
+// ckey is the cache key: the canonical fingerprint plus the kind of
+// the platform's solver form (see solverForm). The kind matters
+// because a chain and its one-leg spider share a fingerprint by design
+// but are answered by different engines whose optimal schedules — and
+// wire envelopes — legitimately differ; forks normalise to the spider
+// kind, so a fork and its spider form still share one warmed solver.
 type ckey struct {
 	kind string // "chain" | "spider" | "tree"
 	hash platform.Hash
@@ -252,11 +253,11 @@ type construction struct {
 	err  error
 }
 
-// entry is one warmed solver: the backend the kind registry constructed
-// for the platform (in first-seen numbering). Backends are not safe for
-// concurrent use, so answers serialise on mu. memo caches the scalar
-// result of every query already answered by this solver, so an exact
-// repeat skips even the warm binary search.
+// entry is one warmed solver: the solve.Solver built for the platform
+// (in first-seen numbering). Solvers are not safe for concurrent use,
+// so answers serialise on mu. memo caches the scalar result of every
+// query already answered by this solver, so an exact repeat skips even
+// the warm binary search.
 //
 // trace is the entry's phase trace, attached at construction; lastSnap
 // and lastStats are the previous read points, so each solve's cost
@@ -267,13 +268,13 @@ type construction struct {
 type entry struct {
 	key       ckey
 	mu        sync.Mutex
-	be        backend
+	solver    solve.Solver
 	memo      map[memoKey]memoVal
 	trace     *obs.SolveTrace
 	lastSnap  obs.PhaseSnapshot
 	lastStats spider.ProbeStats
 	// src is the constructing query's prepared platform, whose slices
-	// the backend holds; a form with the same literal digest shares
+	// the solver holds; a form with the same literal digest shares
 	// them instead of keeping a second copy.
 	src prepared
 	// form is the request form registered on this entry, nil until a
@@ -318,17 +319,13 @@ func memoKeyFor(q *query) (memoKey, bool) {
 }
 
 // prepared is what parsing derives from the platform bytes alone: the
-// kind handler, the cache key, the literal digest, the platform in the
-// requester's numbering and its size. The kind handler's prepare fills
-// exactly the platform field matching the solver kind.
+// cache key, the literal digest, the platform in its solver form and
+// the requester's numbering, and its size.
 type prepared struct {
-	h     *kindHandler    // the wire kind's registry entry
-	key   ckey            // cache key: solver kind (forks → spider) + fingerprint
-	lit   platform.Hash   // literal digest, the flight key's platform part
-	chain platform.Chain  // chain kind
-	sp    platform.Spider // spider kind, request leg order
-	tr    platform.Tree   // tree kind, request sibling order
-	size  int             // platform leg count, the cold-cost size proxy
+	key  ckey           // cache key: solver kind (forks → spider) + fingerprint
+	lit  platform.Hash  // literal digest, the flight key's platform part
+	p    solve.Platform // solver form (see solverForm), request order
+	size int            // platform leg count, the cold-cost size proxy
 }
 
 // form is one registered request form: the exact platform bytes of a
@@ -395,17 +392,10 @@ func (s *Service) parse(req *Request) (*query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		h, ok := kindRegistry[dec.Kind]
-		if !ok {
-			// platform.Decode rejects unknown kinds, so an unregistered kind
-			// here means a handler was never written for a decodable
-			// platform — a service bug, not a client one.
-			return nil, fmt.Errorf("%w: no solver registered for platform kind %q", ErrInternal, dec.Kind)
-		}
-		q.h, q.key = h, ckey{kind: h.solverKind, hash: dec.Hash()}
-		q.lit = h.prepare(q, dec)
+		q.p, q.lit, q.size = solverForm(dec)
+		q.key = ckey{kind: q.p.Kind(), hash: dec.Hash()}
 	}
-	if err := q.checkHorizon(max(req.N, 1)); err != nil {
+	if err := q.p.CheckHorizon(max(req.N, 1)); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	switch {
@@ -427,19 +417,6 @@ func (s *Service) parse(req *Request) (*query, error) {
 		}
 	}
 	return q, nil
-}
-
-// checkHorizon reports whether n tasks fit the platform's overflow-free
-// time horizon (forks are checked in their spider form).
-func (q *query) checkHorizon(n int) error {
-	switch q.key.kind {
-	case "chain":
-		return q.chain.CheckHorizon(n)
-	case "tree":
-		return q.tr.CheckHorizon(n)
-	default:
-		return q.sp.CheckHorizon(n)
-	}
 }
 
 // reuseForm fills q's prepared platform from the form registered under
@@ -468,7 +445,7 @@ func (s *Service) reuseForm(q *query) bool {
 func (s *Service) registerForm(e *entry, q *query) {
 	f := &form{hash: q.body, sum: sha256.Sum256(q.req.Platform), p: q.prepared}
 	if f.p.lit == e.src.lit {
-		f.p.chain, f.p.sp, f.p.tr = e.src.chain, e.src.sp, e.src.tr
+		f.p.p = e.src.p
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -696,10 +673,10 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 		// cancel-checkpoint metric — the proof a dead request actually
 		// stopped the solver.
 		cc := obs.NewCancelCheck(q.ctx, s.m.cancelHits)
-		e.be.setCancel(cc)
-		defer e.be.setCancel(nil)
+		e.solver.SetCancel(cc)
+		defer e.solver.SetCancel(nil)
 		start := time.Now()
-		sol, err = e.be.answer(q)
+		sol, err = answer(e.solver, q)
 		solveNs = time.Since(start).Nanoseconds()
 		if err == nil {
 			s.cm.observe(q.key.kind, false, solveNs)
@@ -709,7 +686,7 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 		snap := e.trace.Snapshot()
 		phaseDelta = snap.Sub(e.lastSnap)
 		e.lastSnap = snap
-		pst := e.be.probeStats()
+		pst := e.solver.Stats()
 		cost = &Cost{
 			Probes:      pst.Probes - e.lastStats.Probes,
 			PackProbes:  pst.PackProbes - e.lastStats.PackProbes,
@@ -820,18 +797,18 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 	if cerr := cc.Err(); cerr != nil {
 		return nil, cerr
 	}
-	be, err := q.h.construct(q)
+	sv, err := solve.New(q.p)
 	if err != nil {
 		return nil, err
 	}
-	// Rehydrate before first use: seed the fresh backend's empty leg
+	// Rehydrate before first use: seed the fresh solver's empty leg
 	// plans from the spill store. A build whose EVERY distinct plan was
 	// seeded did no construction work — it counts as a rehydrate; a
 	// partial seed (some legs found, some not) still counts as a
 	// construction, with the seeded legs on their own counter.
 	rehydrated := false
 	if s.cfg.PlanCache != nil {
-		res := be.rehydrate(s.planLookup)
+		res := sv.Rehydrate(s.planLookup)
 		if res.Hydrated > 0 {
 			s.m.rehydratedLegs.Add(int64(res.Hydrated))
 		}
@@ -841,16 +818,16 @@ func (s *Service) construct(q *query) (e *entry, err error) {
 		rehydrated = res.Plans > 0 && res.Hydrated == res.Plans
 	}
 	s.cm.observe(q.key.kind, true, time.Since(start).Nanoseconds())
-	e = &entry{key: q.key, be: be, trace: &obs.SolveTrace{}, src: q.prepared}
+	e = &entry{key: q.key, solver: sv, trace: &obs.SolveTrace{}, src: q.prepared}
 	// Attaching right after construction flushes the build-time set-up
 	// (leg dedup, tree cover) into the trace, so the first solve's cost
 	// block carries the construction it paid for.
-	be.setTrace(e.trace)
+	sv.SetTrace(e.trace)
 	// Rehydrated placements were not built by the first query — baseline
 	// the entry's cost telemetry past them so its cost block reports
 	// only work it actually ran.
 	if rehydrated {
-		e.lastStats = be.probeStats()
+		e.lastStats = sv.Stats()
 	}
 	s.mu.Lock()
 	if rehydrated {
@@ -912,7 +889,7 @@ func (s *Service) spill(e *entry) (legs int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	exports := e.be.exportPlans()
+	exports := e.solver.ExportPlans()
 	if len(exports) == 0 {
 		return 0
 	}
@@ -953,12 +930,12 @@ func (s *Service) Snapshot() (entries, legs int) {
 	return entries, legs
 }
 
-// solved is the raw answer of one solve, before wire encoding.
+// solved is the raw answer of one solve, before wire encoding; sched
+// is nil unless the request asked for the schedule.
 type solved struct {
-	tasks       int
-	makespan    platform.Time
-	chainSched  *sched.ChainSchedule
-	spiderSched *sched.SpiderSchedule
+	tasks    int
+	makespan platform.Time
+	sched    solve.Schedule
 }
 
 // remapLegs rewrites a schedule produced on the cached spider (first-
@@ -1025,11 +1002,11 @@ func (s *Service) respond(q *query, sol *solved, cache string, solveNs int64) *R
 	if q.req.Op.needsDeadline() {
 		resp.Deadline = q.req.Deadline
 	}
-	switch {
-	case sol.chainSched != nil:
-		resp.Schedule = sched.AppendChainSchedule(nil, sol.chainSched)
-	case sol.spiderSched != nil:
-		resp.Schedule = sched.AppendSpiderSchedule(nil, sol.spiderSched)
+	switch v := sol.sched.(type) {
+	case *sched.ChainSchedule:
+		resp.Schedule = sched.AppendChainSchedule(nil, v)
+	case *sched.SpiderSchedule:
+		resp.Schedule = sched.AppendSpiderSchedule(nil, v)
 	}
 	return resp
 }

@@ -419,7 +419,11 @@ func TestScheduleWithinMatchesSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := spider.ScheduleWithin(sp, 12, deadline)
+		cold, err := spider.NewSolver(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.ScheduleWithin(12, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}

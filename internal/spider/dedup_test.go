@@ -236,7 +236,7 @@ func TestWarmCrossNBudgetTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ScheduleWithin(sp, n-5, mk)
+	cold, err := coldScheduleWithin(sp, n-5, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

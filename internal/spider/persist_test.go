@@ -65,7 +65,7 @@ func TestPersistentMatchesFromScratchProbing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sb, err := ScheduleWithin(sp, m, deadline)
+					sb, err := coldScheduleWithin(sp, m, deadline)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -119,7 +119,7 @@ func TestPersistentMatchesFromScratchWide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := ScheduleWithin(sp, n, deadline)
+		fresh, err := coldScheduleWithin(sp, n, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}

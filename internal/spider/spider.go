@@ -842,16 +842,6 @@ func (s *Solver) MinMakespan(n int) (mk platform.Time, sol *sched.SpiderSchedule
 	return lo, out, nil
 }
 
-// ScheduleWithin schedules as many tasks as possible — at most n —
-// on the spider completing within [0, deadline] (Theorem 3).
-func ScheduleWithin(sp platform.Spider, n int, deadline platform.Time) (*sched.SpiderSchedule, error) {
-	s, err := NewSolver(sp)
-	if err != nil {
-		return nil, err
-	}
-	return s.ScheduleWithin(n, deadline)
-}
-
 // MaxTasks returns how many of at most n tasks complete within the
 // deadline.
 func MaxTasks(sp platform.Spider, n int, deadline platform.Time) (int, error) {
@@ -870,17 +860,4 @@ func MinMakespan(sp platform.Spider, n int) (platform.Time, *sched.SpiderSchedul
 		return 0, nil, err
 	}
 	return s.MinMakespan(n)
-}
-
-// Schedule is MinMakespan returning only the schedule; it is the
-// spider-side analogue of core.Schedule.
-func Schedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error) {
-	if n == 0 {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		return &sched.SpiderSchedule{Spider: sp}, nil
-	}
-	_, s, err := MinMakespan(sp, n)
-	return s, err
 }

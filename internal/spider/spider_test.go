@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/platform"
+	"repro/internal/sched"
 )
 
 func smallSpider() platform.Spider {
@@ -13,19 +14,28 @@ func smallSpider() platform.Spider {
 }
 
 func TestScheduleWithinDegenerate(t *testing.T) {
-	if _, err := ScheduleWithin(platform.Spider{}, 3, 10); err == nil {
+	if _, err := coldScheduleWithin(platform.Spider{}, 3, 10); err == nil {
 		t.Error("empty spider accepted")
 	}
-	if _, err := ScheduleWithin(smallSpider(), -1, 10); err == nil {
+	if _, err := coldScheduleWithin(smallSpider(), -1, 10); err == nil {
 		t.Error("negative n accepted")
 	}
-	if _, err := ScheduleWithin(smallSpider(), 3, -1); err == nil {
+	if _, err := coldScheduleWithin(smallSpider(), 3, -1); err == nil {
 		t.Error("negative deadline accepted")
 	}
-	s, err := ScheduleWithin(smallSpider(), 4, 0)
+	s, err := coldScheduleWithin(smallSpider(), 4, 0)
 	if err != nil || s.Len() != 0 {
 		t.Errorf("deadline 0: %v len=%d", err, s.Len())
 	}
+}
+
+// coldScheduleWithin answers one deadline query on a fresh solver.
+func coldScheduleWithin(sp platform.Spider, n int, deadline platform.Time) (*sched.SpiderSchedule, error) {
+	s, err := NewSolver(sp)
+	if err != nil {
+		return nil, err
+	}
+	return s.ScheduleWithin(n, deadline)
 }
 
 func TestScheduleWithinHandChecked(t *testing.T) {
@@ -34,7 +44,7 @@ func TestScheduleWithinHandChecked(t *testing.T) {
 	// 2 tasks; deadline 6 fits only 1 (leg 1 alone: 1+4=5; 2 tasks by 6
 	// impossible).
 	sp := smallSpider()
-	s, err := ScheduleWithin(sp, 5, 7)
+	s, err := coldScheduleWithin(sp, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestScheduleWithinHandChecked(t *testing.T) {
 	if s.Makespan() > 7 {
 		t.Errorf("makespan %d overruns deadline 7", s.Makespan())
 	}
-	s, err = ScheduleWithin(sp, 5, 6)
+	s, err = coldScheduleWithin(sp, 5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestTheorem3Exhaustive(t *testing.T) {
 		for _, b := range legs {
 			sp := platform.NewSpider(a.Clone(), b.Clone())
 			for _, deadline := range []platform.Time{2, 4, 6, 9} {
-				s, err := ScheduleWithin(sp, 4, deadline)
+				s, err := coldScheduleWithin(sp, 4, deadline)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +212,7 @@ func TestMaxTasksMonotoneInDeadline(t *testing.T) {
 func TestScheduleLargerSpiderFeasible(t *testing.T) {
 	g := platform.MustGenerator(3, 1, 10, platform.Bimodal)
 	sp := g.Spider(4, 3)
-	s, err := Schedule(sp, 40)
+	_, s, err := MinMakespan(sp, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +224,17 @@ func TestScheduleLargerSpiderFeasible(t *testing.T) {
 	}
 }
 
+// TestScheduleZeroTasks: a zero-task query schedules nothing, whatever
+// the deadline, and an empty spider is still rejected.
 func TestScheduleZeroTasks(t *testing.T) {
-	s, err := Schedule(smallSpider(), 0)
+	s, err := coldScheduleWithin(smallSpider(), 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 0 {
 		t.Errorf("n=0 scheduled %d tasks", s.Len())
 	}
-	if _, err := Schedule(platform.Spider{}, 0); err == nil {
+	if _, err := coldScheduleWithin(platform.Spider{}, 0, 100); err == nil {
 		t.Error("empty spider accepted")
 	}
 }

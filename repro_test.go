@@ -8,19 +8,29 @@ import (
 	"repro"
 )
 
+// solverFor builds the warmed solver for p or fails the test.
+func solverFor(t *testing.T, p repro.Platform) repro.Solver {
+	t.Helper()
+	s, err := repro.NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	// The README quickstart, as a test: build the Fig. 2 chain,
 	// schedule five tasks, verify, render.
 	ch := repro.NewChain(2, 5, 3, 3)
-	s, err := repro.ScheduleChain(ch, 5)
+	mk, s, err := solverFor(t, ch).MinMakespan(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatalf("optimal schedule must verify: %v", err)
 	}
-	if s.Makespan() <= 0 {
-		t.Fatalf("makespan = %d", s.Makespan())
+	if mk <= 0 || s.Makespan() != mk {
+		t.Fatalf("makespan = %d, schedule's %d", mk, s.Makespan())
 	}
 	chart := repro.GanttASCII(s.Intervals(), 1)
 	if !strings.Contains(chart, "proc 1") {
@@ -37,24 +47,18 @@ func TestSpiderFacade(t *testing.T) {
 		repro.NewChain(2, 5, 3, 3),
 		repro.NewChain(1, 4),
 	)
-	mk, s, err := repro.SpiderMinMakespan(sp, 6)
+	s := solverFor(t, sp)
+	mk, sch, err := s.MinMakespan(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Verify(); err != nil {
+	if err := sch.Verify(); err != nil {
 		t.Fatalf("infeasible: %v", err)
 	}
-	if s.Makespan() > mk {
-		t.Errorf("schedule makespan %d exceeds optimum %d", s.Makespan(), mk)
+	if sch.Makespan() > mk {
+		t.Errorf("schedule makespan %d exceeds optimum %d", sch.Makespan(), mk)
 	}
-	s2, err := repro.ScheduleSpider(sp, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Makespan() != mk {
-		t.Errorf("ScheduleSpider makespan %d, want %d", s2.Makespan(), mk)
-	}
-	within, err := repro.ScheduleSpiderWithin(sp, 6, mk-1)
+	within, err := s.ScheduleWithin(6, mk-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +69,15 @@ func TestSpiderFacade(t *testing.T) {
 
 func TestForkFacade(t *testing.T) {
 	f := repro.NewFork(1, 3, 2, 2)
-	mk, s, err := repro.ForkMinMakespan(f, 4)
+	s := solverFor(t, f)
+	mk, sch, err := s.MinMakespan(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Verify(); err != nil {
+	if err := sch.Verify(); err != nil {
 		t.Fatalf("infeasible: %v", err)
 	}
-	m, err := repro.ForkMaxTasks(f, 10, mk)
+	m, err := s.MaxTasks(10, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,49 +88,49 @@ func TestForkFacade(t *testing.T) {
 
 func TestBoundsFacade(t *testing.T) {
 	ch := repro.NewChain(2, 5, 3, 3)
-	rate, err := repro.ChainThroughput(ch)
+	rate, err := ch.Throughput()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rate.Sign() <= 0 {
 		t.Error("non-positive throughput")
 	}
-	lb, err := repro.ChainLowerBound(ch, 20)
+	lb, err := ch.LowerBound(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := repro.ScheduleChain(ch, 20)
+	mk, _, err := solverFor(t, ch).MinMakespan(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb > s.Makespan() {
-		t.Errorf("lower bound %d exceeds optimum %d", lb, s.Makespan())
+	if lb > mk {
+		t.Errorf("lower bound %d exceeds optimum %d", lb, mk)
 	}
 
 	sp := repro.NewSpider(ch, repro.NewChain(1, 4))
-	if _, err := repro.SpiderThroughput(sp); err != nil {
+	if _, err := sp.Throughput(); err != nil {
 		t.Fatal(err)
 	}
-	slb, err := repro.SpiderLowerBound(sp, 20)
+	slb, err := sp.LowerBound(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, _, err := repro.SpiderMinMakespan(sp, 20)
+	smk, _, err := solverFor(t, sp).MinMakespan(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slb > mk {
-		t.Errorf("spider lower bound %d exceeds optimum %d", slb, mk)
+	if slb > smk {
+		t.Errorf("spider lower bound %d exceeds optimum %d", slb, smk)
 	}
 }
 
 func TestChainWithinFacade(t *testing.T) {
-	ch := repro.NewChain(2, 5, 3, 3)
-	s, err := repro.ScheduleChain(ch, 5)
+	s := solverFor(t, repro.NewChain(2, 5, 3, 3))
+	mk, _, err := s.MinMakespan(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within, err := repro.ScheduleChainWithin(ch, 5, s.Makespan())
+	within, err := s.ScheduleWithin(5, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +140,7 @@ func TestChainWithinFacade(t *testing.T) {
 }
 
 func TestIntervalCSVExport(t *testing.T) {
-	ch := repro.NewChain(2, 5)
-	s, err := repro.ScheduleChain(ch, 2)
+	_, s, err := solverFor(t, repro.NewChain(2, 5)).MinMakespan(2)
 	if err != nil {
 		t.Fatal(err)
 	}
