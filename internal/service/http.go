@@ -124,6 +124,11 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, solveStatus(w, err), errorBody{Error: err.Error()})
 		return
 	}
+	writeResponse(w, resp)
+}
+
+// writeResponse writes a successful /solve answer.
+func writeResponse(w http.ResponseWriter, resp *Response) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
