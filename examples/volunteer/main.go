@@ -77,7 +77,14 @@ func main() {
 	for name, busy := range res.Utilisation {
 		utils = append(utils, util{name, float64(busy) / float64(res.Makespan)})
 	}
-	sort.Slice(utils, func(i, j int) bool { return utils[i].busy > utils[j].busy })
+	// Ties in utilisation print in name order, so every run lists the
+	// same resources.
+	sort.Slice(utils, func(i, j int) bool {
+		if utils[i].busy != utils[j].busy {
+			return utils[i].busy > utils[j].busy
+		}
+		return utils[i].name < utils[j].name
+	})
 	fmt.Println("\nbusiest resources under pull(1):")
 	for _, u := range utils[:min(5, len(utils))] {
 		fmt.Printf("  %-16s %5.1f%%\n", u.name, 100*u.busy)

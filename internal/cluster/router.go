@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/service"
 )
 
 // routerMaxBody bounds the /solve bodies the router will buffer; it
@@ -124,15 +125,13 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// Routing needs only the platform envelope; everything else in the
 	// request is the shard's business and travels through untouched.
-	var env struct {
-		Platform json.RawMessage `json:"platform"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Platform) == 0 {
+	env := service.RequestPlatform(body)
+	if len(env) == 0 {
 		rt.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "solve request carries no platform envelope")
 		return
 	}
-	dec, err := platform.Decode(env.Platform)
+	dec, err := platform.Decode(env)
 	if err != nil {
 		rt.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "decoding platform: "+err.Error())

@@ -208,22 +208,17 @@ func SteadyStateBound(n int, rate *big.Rat, solo Time) Time {
 	return max(ceilRatDiv(n, rate), solo)
 }
 
-// LowerBound returns a valid lower bound on the optimal makespan of n
-// tasks on the chain: SteadyStateBound over its throughput and fastest
-// solo path.
-func (ch Chain) LowerBound(n int) (Time, error) {
-	if err := ch.Validate(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
+// SteadyState returns the chain's steady-state rate and its fastest
+// single-task completion, the two numbers LowerBound and
+// TasksUpperBound derive their bounds from; a caller that keeps them
+// prices every later bound with one division.
+func (ch Chain) SteadyState() (*big.Rat, Time, error) {
 	rate, err := ch.Throughput()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	_, solo := ch.BestSoloProc()
-	return SteadyStateBound(n, rate, solo), nil
+	return rate, solo, nil
 }
 
 // BestSolo returns the fastest single-task completion over the legs.
@@ -237,44 +232,59 @@ func (sp Spider) BestSolo() Time {
 	return solo
 }
 
-// LowerBound is Chain.LowerBound for spiders.
-func (sp Spider) LowerBound(n int) (Time, error) {
-	if err := sp.Validate(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
+// SteadyState is Chain.SteadyState for spiders.
+func (sp Spider) SteadyState() (*big.Rat, Time, error) {
 	rate, err := sp.Throughput()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return SteadyStateBound(n, rate, sp.BestSolo()), nil
+	return rate, sp.BestSolo(), nil
 }
 
-// LowerBound is Chain.LowerBound for forks (via the spider form).
-func (f Fork) LowerBound(n int) (Time, error) {
+// SteadyState is Chain.SteadyState for forks (via the spider form).
+func (f Fork) SteadyState() (*big.Rat, Time, error) {
 	if err := f.Validate(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return f.Spider().LowerBound(n)
+	return f.Spider().SteadyState()
 }
+
+// SteadyState is Chain.SteadyState for trees.
+func (t Tree) SteadyState() (*big.Rat, Time, error) {
+	rate, err := t.Throughput()
+	if err != nil {
+		return nil, 0, err
+	}
+	return rate, t.bestSolo(), nil
+}
+
+// LowerBound returns a valid lower bound on the optimal makespan of n
+// tasks on the chain: SteadyStateBound over its throughput and fastest
+// solo path.
+func (ch Chain) LowerBound(n int) (Time, error) { return lowerBound(ch, n) }
+
+// LowerBound is Chain.LowerBound for spiders.
+func (sp Spider) LowerBound(n int) (Time, error) { return lowerBound(sp, n) }
+
+// LowerBound is Chain.LowerBound for forks (via the spider form).
+func (f Fork) LowerBound(n int) (Time, error) { return lowerBound(f, n) }
 
 // LowerBound returns a proven lower bound on the optimal makespan of n
 // tasks on the tree: ⌈n / Throughput⌉, raised to the fastest solo path
 // completion when larger.
-func (t Tree) LowerBound(n int) (Time, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	rate, err := t.Throughput()
+func (t Tree) LowerBound(n int) (Time, error) { return lowerBound(t, n) }
+
+// steadyStater is the platform kinds' SteadyState method.
+type steadyStater interface {
+	SteadyState() (*big.Rat, Time, error)
+}
+
+func lowerBound(p steadyStater, n int) (Time, error) {
+	rate, solo, err := p.SteadyState()
 	if err != nil {
 		return 0, err
 	}
-	return SteadyStateBound(n, rate, t.bestSolo()), nil
+	return SteadyStateBound(n, rate, solo), nil
 }
 
 // floorRatMul returns floor(t · rate), the steady-state cap on tasks
@@ -288,12 +298,12 @@ func floorRatMul(t Time, rate *big.Rat) int64 {
 	return quo.Int64()
 }
 
-// tasksUpperBound is the shared body of the per-kind TasksUpperBound
-// methods: any schedule completing k ≥ 1 tasks within the deadline has
+// SteadyStateTasks returns the upper bound the TasksUpperBound methods
+// share: any schedule completing k ≥ 1 tasks within the deadline has
 // deadline ≥ LowerBound(k) ≥ ⌈k/X⌉ ≥ k/X, so k ≤ ⌊deadline·X⌋; and the
 // last task alone needs the fastest solo completion, so a deadline
 // below it completes nothing.
-func tasksUpperBound(n int, deadline Time, rate *big.Rat, solo Time) int {
+func SteadyStateTasks(n int, deadline Time, rate *big.Rat, solo Time) int {
 	if n <= 0 || deadline < solo {
 		return 0
 	}
@@ -311,54 +321,31 @@ func tasksUpperBound(n int, deadline Time, rate *big.Rat, solo Time) int {
 // (O(len) exact rational arithmetic), never underestimates the exact
 // answer, and equals it in the steady-state limit.
 func (ch Chain) TasksUpperBound(n int, deadline Time) (int, error) {
-	if err := ch.Validate(); err != nil {
-		return 0, err
-	}
-	rate, err := ch.Throughput()
-	if err != nil {
-		return 0, err
-	}
-	_, solo := ch.BestSoloProc()
-	return tasksUpperBound(n, deadline, rate, solo), nil
+	return tasksUpperBound(ch, n, deadline)
 }
 
 // TasksUpperBound is Chain.TasksUpperBound for spiders.
 func (sp Spider) TasksUpperBound(n int, deadline Time) (int, error) {
-	if err := sp.Validate(); err != nil {
-		return 0, err
-	}
-	rate, err := sp.Throughput()
-	if err != nil {
-		return 0, err
-	}
-	solo := MaxTime
-	for _, leg := range sp.Legs {
-		if _, s := leg.BestSoloProc(); s < solo {
-			solo = s
-		}
-	}
-	return tasksUpperBound(n, deadline, rate, solo), nil
+	return tasksUpperBound(sp, n, deadline)
 }
 
 // TasksUpperBound is Chain.TasksUpperBound for forks (via the spider
 // form).
 func (f Fork) TasksUpperBound(n int, deadline Time) (int, error) {
-	if err := f.Validate(); err != nil {
-		return 0, err
-	}
-	return f.Spider().TasksUpperBound(n, deadline)
+	return tasksUpperBound(f, n, deadline)
 }
 
 // TasksUpperBound is Chain.TasksUpperBound for trees.
 func (t Tree) TasksUpperBound(n int, deadline Time) (int, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	rate, err := t.Throughput()
+	return tasksUpperBound(t, n, deadline)
+}
+
+func tasksUpperBound(p steadyStater, n int, deadline Time) (int, error) {
+	rate, solo, err := p.SteadyState()
 	if err != nil {
 		return 0, err
 	}
-	return tasksUpperBound(n, deadline, rate, t.bestSolo()), nil
+	return SteadyStateTasks(n, deadline, rate, solo), nil
 }
 
 // bestSolo returns the fastest single-task completion over all nodes.

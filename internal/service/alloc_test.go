@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/spider"
 )
@@ -133,6 +134,59 @@ func TestWarmRepeatAllocations(t *testing.T) {
 		buf := sched.AppendSpiderSchedule(nil, sch)
 		if got := testing.AllocsPerRun(20, func() { buf = sched.AppendSpiderSchedule(buf[:0], sch) }); got > 1 {
 			t.Errorf("AppendSpiderSchedule into a sized buffer: %.0f allocs, want at most 1", got)
+		}
+	})
+}
+
+// TestWireCodecAllocations pins the /solve codec's allocations on a
+// 1024-leg spider request: the shard's wrapper decode must not cost
+// more than decoding the platform it wraps, the router's platform
+// lookup nothing, and a memo-hit answer at most one allocation once its
+// buffer is sized.
+func TestWireCodecAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	req := mustSpiderRequest(t, dupSpider(rng, 1024, 6), OpMaxTasks, 256, 1000)
+	body, err := AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("request decode", func(t *testing.T) {
+		platformDecode := testing.AllocsPerRun(20, func() {
+			if _, err := platform.Decode(req.Platform); err != nil {
+				t.Fatal(err)
+			}
+		})
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeRequest(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > platformDecode {
+			t.Errorf("wrapper decode: %.0f allocs, platform.Decode %.0f", got, platformDecode)
+		}
+	})
+	t.Run("router platform lookup", func(t *testing.T) {
+		if got := testing.AllocsPerRun(20, func() {
+			if RequestPlatform(body) == nil {
+				t.Fatal("no platform")
+			}
+		}); got != 0 {
+			t.Errorf("RequestPlatform: %.0f allocs, want 0", got)
+		}
+	})
+	t.Run("memo-hit response", func(t *testing.T) {
+		svc := warmWideService(t, req)
+		resp, err := svc.Solve(context.Background(), req)
+		if err != nil || !resp.Meta.Memo {
+			t.Fatalf("warm repeat: memo %v, err %v", resp != nil && resp.Meta.Memo, err)
+		}
+		buf := make([]byte, 0, responseSize(resp))
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := AppendResponse(buf[:0], resp); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("AppendResponse of a memo hit: %.0f allocs, want at most 1", got)
 		}
 	})
 }

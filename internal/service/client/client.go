@@ -211,7 +211,9 @@ func retryableStatus(status int) bool {
 // exponential backoff, honouring the server's Retry-After and the
 // context's deadline.
 func (c *Client) Do(ctx context.Context, req *service.Request) (*service.Response, error) {
-	payload, err := json.Marshal(req)
+	// The compacted platform is at most its own length; the other
+	// request fields fit in the 160 bytes beside it.
+	payload, err := service.AppendRequest(make([]byte, 0, len(req.Platform)+160), req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
@@ -377,8 +379,8 @@ func (c *Client) doOnce(ctx context.Context, base string, payload []byte) (resp 
 		}
 		return nil, status, retryAfter, fmt.Errorf("client: server answered %s", hresp.Status)
 	}
-	var out service.Response
-	if err := json.Unmarshal(body, &out); err != nil {
+	out, err := service.DecodeResponse(body)
+	if err != nil {
 		return nil, status, retryAfter, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return &out, status, retryAfter, nil

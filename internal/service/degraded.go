@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math/big"
 	"time"
 
 	"repro/internal/core"
@@ -66,13 +67,13 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 	if q.req.Op.needsDeadline() {
 		resp.Deadline = q.req.Deadline
 	}
+	rate, solo, err := q.steadyState()
+	if err != nil {
+		return nil, false
+	}
 	switch q.req.Op {
 	case OpMinMakespan:
-		lb, err := q.p.LowerBound(q.req.N)
-		if err != nil {
-			return nil, false
-		}
-		resp.Makespan, resp.Bound = lb, BoundLower
+		resp.Makespan, resp.Bound = platform.SteadyStateBound(q.req.N, rate, solo), BoundLower
 		var pe *core.PartialError
 		if errors.As(cause, &pe) {
 			// The interrupted search's own lower bound can only tighten
@@ -88,11 +89,7 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 			}
 		}
 	case OpMaxTasks:
-		ub, err := q.p.TasksUpperBound(q.req.N, q.req.Deadline)
-		if err != nil {
-			return nil, false
-		}
-		resp.Tasks, resp.Bound = ub, BoundUpper
+		resp.Tasks, resp.Bound = platform.SteadyStateTasks(q.req.N, q.req.Deadline, rate, solo), BoundUpper
 	}
 	switch {
 	case isShed:
@@ -109,4 +106,15 @@ func (s *Service) degrade(q *query, cause error) (*Response, bool) {
 		s.m.degradedCancel.Inc()
 	}
 	return resp, true
+}
+
+// steadyState returns the query platform's steady-state rate and best
+// solo time, the inputs of its LowerBound and TasksUpperBound: from the
+// registered form, computed once per form, when the query came through
+// one, else computed for this query.
+func (q *query) steadyState() (*big.Rat, platform.Time, error) {
+	if q.form != nil {
+		return q.form.steady.get(q.p)
+	}
+	return q.p.SteadyState()
 }

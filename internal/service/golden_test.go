@@ -33,7 +33,7 @@ func fixTiming(r *Response) *Response {
 // goldenResponses answers a fixed set of queries, one per response
 // shape /solve writes: a memo hit, a scalar solve, schedule-bearing
 // chain and spider answers, and the three degraded bounds.
-func goldenResponses(t *testing.T) map[string]*Response {
+func goldenResponses(t testing.TB) map[string]*Response {
 	t.Helper()
 	svc := New(Config{})
 	ctx := context.Background()

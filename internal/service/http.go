@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -13,6 +15,9 @@ import (
 
 	"repro/internal/faultinject"
 )
+
+// maxBodyPresize caps the buffer a /solve body read allocates up front.
+const maxBodyPresize = 64 << 10
 
 // maxRequestBytes is the default /solve body bound (Config.MaxBody); a
 // platform description is tiny, so anything near the limit is abuse,
@@ -107,9 +112,8 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := decodeBody(readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), r.ContentLength, s.cfg.MaxBody))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -127,9 +131,57 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, resp)
 }
 
-// writeResponse writes a successful /solve answer.
+// readBody reads r to its end or its first error. The buffer starts
+// at the request's Content-Length, plus room to read the EOF without
+// growing, when that is within limit and maxBodyPresize: a larger
+// claimed length grows the buffer only as the bytes arrive.
+func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	size := int64(512)
+	if contentLength > 0 && contentLength <= min(limit, maxBodyPresize) {
+		size = contentLength + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// decodeBody decodes a /solve body that was read up to readErr exactly
+// as json.NewDecoder over the body's reader does: the first JSON value
+// decides, so a body past the size limit whose value ends inside the
+// limit still decodes, and a read error surfaces only when the value
+// needed more bytes.
+func decodeBody(body []byte, readErr error) (Request, error) {
+	if readErr == nil {
+		return DecodeRequest(body)
+	}
+	return decodeRequestJSON(io.MultiReader(bytes.NewReader(body), errReader{readErr}))
+}
+
+// errReader fails every read with its error.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// writeResponse writes a successful /solve answer. An encoding error
+// leaves the body empty, as writeJSON does.
 func writeResponse(w http.ResponseWriter, resp *Response) {
-	writeJSON(w, http.StatusOK, resp)
+	b, err := AppendResponse(make([]byte, 0, responseSize(resp)), resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		_, _ = w.Write(b) // the status line is already out; nothing to do on error
+	}
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math/big"
 	"os"
 	"runtime"
 	"slices"
@@ -339,6 +340,23 @@ type form struct {
 	hash uint64
 	sum  [sha256.Size]byte
 	p    prepared
+	// steady is the platform's steady-state rate and best solo time,
+	// computed by the first degraded answer that needs them.
+	steady steadyState
+}
+
+// steadyState caches a platform's SteadyState: exact rational
+// arithmetic over every leg, too costly to repeat on every shed.
+type steadyState struct {
+	once sync.Once
+	rate *big.Rat
+	solo platform.Time
+	err  error
+}
+
+func (st *steadyState) get(p solve.Platform) (*big.Rat, platform.Time, error) {
+	st.once.Do(func() { st.rate, st.solo, st.err = p.SteadyState() })
+	return st.rate, st.solo, st.err
 }
 
 // query is a parsed, validated request.
@@ -347,7 +365,7 @@ type query struct {
 	req    *Request
 	ctx    context.Context // request context: deadline + disconnect
 	body   uint64          // maphash of the platform bytes
-	reused bool            // prepared came from a registered form
+	form   *form           // the registered form prepared came from, if any
 	flight flightKey
 	// retried marks that this query already re-entered the cache path
 	// once after inheriting a dead leader's context error, so a second
@@ -433,7 +451,7 @@ func (s *Service) reuseForm(q *query) bool {
 	if f == nil || sha256.Sum256(q.req.Platform) != f.sum {
 		return false
 	}
-	q.prepared, q.reused = f.p, true
+	q.prepared, q.form = f.p, f
 	s.m.formHits.Inc()
 	return true
 }
@@ -576,7 +594,7 @@ func (s *Service) solveLeading(q *query) (*Response, error) {
 		e = el.Value.(*entry)
 		s.m.hits.Inc()
 		cache = "hit"
-		register := e.form == nil && !q.reused
+		register := e.form == nil && q.form == nil
 		s.mu.Unlock()
 		if register {
 			s.registerForm(e, q)

@@ -47,6 +47,11 @@ type Platform interface {
 	// TasksUpperBound returns a proven upper bound on how many of at
 	// most n tasks complete within the deadline.
 	TasksUpperBound(n int, deadline platform.Time) (int, error)
+	// SteadyState returns the steady-state rate and the fastest
+	// single-task completion that LowerBound and TasksUpperBound derive
+	// their bounds from (platform.SteadyStateBound,
+	// platform.SteadyStateTasks).
+	SteadyState() (*big.Rat, platform.Time, error)
 	// Validate checks the platform is non-empty with admissible
 	// parameters.
 	Validate() error

@@ -64,8 +64,7 @@ func TestKindErrPrefixesOnce(t *testing.T) {
 // TestCancelledQueryKeepsContextError: a solve stopped by a dead
 // context returns the engine's cancellation error as it is, with no
 // kind prefix added: the scheduling service maps it to 504/499 by
-// errors.Is and returns its text verbatim. (The tree engine wraps it
-// in its own "tree: scheduling cover:" context.)
+// errors.Is and returns its text verbatim.
 func TestCancelledQueryKeepsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -77,7 +76,7 @@ func TestCancelledQueryKeepsContextError(t *testing.T) {
 		{g.Chain(4), "context canceled"},
 		{g.Spider(3, 3), "context canceled"},
 		{g.Fork(3), "context canceled"},
-		{g.Tree(3, 2), "tree: scheduling cover: context canceled"},
+		{g.Tree(3, 2), "context canceled"},
 	} {
 		s, err := New(tc.p)
 		if err != nil {

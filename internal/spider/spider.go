@@ -663,8 +663,7 @@ func (s *Solver) revert(alloc *fork.Allocation, deadline platform.Time) (*sched.
 // redo on every MinMakespan of a warm solver.
 func (s *Solver) lowerBound(n int) (platform.Time, error) {
 	if s.rate == nil && s.rateErr == nil {
-		s.rate, s.rateErr = s.sp.Throughput()
-		s.solo = s.sp.BestSolo()
+		s.rate, s.solo, s.rateErr = s.sp.SteadyState()
 	}
 	if s.rateErr != nil {
 		return 0, s.rateErr

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -107,7 +109,7 @@ func (s *Solver) Rehydrate(lookup func(key string) []sched.ChainTask) spider.Reh
 func (s *Solver) MinMakespan(n int) (platform.Time, *sched.SpiderSchedule, error) {
 	mk, sch, err := s.inner.MinMakespan(n)
 	if err != nil {
-		return 0, nil, fmt.Errorf("tree: scheduling cover: %w", err)
+		return 0, nil, coverErr(err)
 	}
 	return mk, sch, nil
 }
@@ -117,7 +119,7 @@ func (s *Solver) MinMakespan(n int) (platform.Time, *sched.SpiderSchedule, error
 func (s *Solver) MaxTasks(n int, deadline platform.Time) (int, error) {
 	k, err := s.inner.MaxTasks(n, deadline)
 	if err != nil {
-		return 0, fmt.Errorf("tree: scheduling cover: %w", err)
+		return 0, coverErr(err)
 	}
 	return k, nil
 }
@@ -127,7 +129,7 @@ func (s *Solver) MaxTasks(n int, deadline platform.Time) (int, error) {
 func (s *Solver) ScheduleWithin(n int, deadline platform.Time) (*sched.SpiderSchedule, error) {
 	sch, err := s.inner.ScheduleWithin(n, deadline)
 	if err != nil {
-		return nil, fmt.Errorf("tree: scheduling cover: %w", err)
+		return nil, coverErr(err)
 	}
 	return sch, nil
 }
@@ -152,4 +154,14 @@ func Schedule(t Tree, n int) (platform.Time, *sched.SpiderSchedule, *Cover, erro
 		return 0, nil, nil, err
 	}
 	return mk, sch, s.cov, nil
+}
+
+// coverErr places an inner spider error in the tree's context.
+// Cancellations and deadline errors, *core.PartialError brackets
+// included, pass through unchanged, as the other engines return them.
+func coverErr(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return fmt.Errorf("tree: scheduling cover: %w", err)
 }

@@ -66,9 +66,6 @@ type (
 	Tree = tree.Tree
 	// TreeNode is one processor of a Tree.
 	TreeNode = tree.Node
-	// TreeCover is the spider extracted from a tree by the covering
-	// heuristic, with the paths mapping spider legs back to tree nodes.
-	TreeCover = tree.Cover
 
 	// ChainTask is one scheduled task on a chain: (P(i), T(i), C(i)).
 	ChainTask = sched.ChainTask
