@@ -1,6 +1,7 @@
 package fork
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,10 +43,10 @@ func TestAdmissionOrderAblation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs := platform.ExpandFork(f, 4)
+			vs := expandFork(f, 4)
 
 			canonical := append([]platform.VirtualSlave(nil), vs...)
-			platform.SortVirtualSlaves(canonical)
+			slices.SortFunc(canonical, platform.CompareVirtualSlaves)
 			if packCountWithOrder(canonical, 4, deadline) != want {
 				canonicalLosses++
 			}

@@ -3,6 +3,7 @@ package fork
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -130,7 +131,7 @@ func driveWalk(t *testing.T, legs []probeLeg, walk []walkStep) {
 		for _, leg := range legs {
 			stream = append(stream, leg[:legCount(leg, ws.deadline)]...)
 		}
-		platform.SortVirtualSlaves(stream)
+		slices.SortFunc(stream, platform.CompareVirtualSlaves)
 
 		label := fmt.Sprintf("step %d (n=%d deadline=%d)", step, ws.n, ws.deadline)
 		if err := p.Reset(ws.n, ws.deadline); err != nil {
@@ -184,9 +185,9 @@ func recordSearchWalk(legs []probeLeg, n int) []walkStep {
 		for _, leg := range legs {
 			stream = append(stream, leg[:legCount(leg, mid)]...)
 		}
-		platform.SortVirtualSlaves(stream)
+		slices.SortFunc(stream, platform.CompareVirtualSlaves)
 		walk = append(walk, walkStep{n: n, deadline: mid})
-		if packSpec(stream, n, mid).Len() >= n {
+		if len(packSpec(stream, n, mid).Slaves) >= n {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -57,6 +57,3 @@ type Allocation struct {
 	Deadline platform.Time
 	Slaves   []Chosen
 }
-
-// Len returns the number of admitted tasks.
-func (a *Allocation) Len() int { return len(a.Slaves) }

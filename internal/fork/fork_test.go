@@ -20,13 +20,13 @@ func TestPackRejectsBadInputs(t *testing.T) {
 
 func TestPackEmptyAndZero(t *testing.T) {
 	alloc, err := Pack(nil, 5, 100)
-	if err != nil || alloc.Len() != 0 {
-		t.Errorf("empty candidates: %v len=%d", err, alloc.Len())
+	if err != nil || len(alloc.Slaves) != 0 {
+		t.Errorf("empty candidates: %v len=%d", err, len(alloc.Slaves))
 	}
-	vs := platform.ExpandFork(twoSlaveFork(), 3)
+	vs := expandFork(twoSlaveFork(), 3)
 	alloc, err = Pack(vs, 0, 100)
-	if err != nil || alloc.Len() != 0 {
-		t.Errorf("n=0: %v len=%d", err, alloc.Len())
+	if err != nil || len(alloc.Slaves) != 0 {
+		t.Errorf("n=0: %v len=%d", err, len(alloc.Slaves))
 	}
 }
 
@@ -41,12 +41,12 @@ func TestPackHandChecked(t *testing.T) {
 	//   try (2,4): order (2,4),(1,3),(2,2): 2+4=6 > 5 reject.
 	//   try (2,6): reject.
 	// Result: 2 tasks, emission order (1,3) then (2,2).
-	alloc, err := Pack(platform.ExpandFork(twoSlaveFork(), 3), 3, 5)
+	alloc, err := Pack(expandFork(twoSlaveFork(), 3), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Len() != 2 {
-		t.Fatalf("admitted %d, want 2", alloc.Len())
+	if len(alloc.Slaves) != 2 {
+		t.Fatalf("admitted %d, want 2", len(alloc.Slaves))
 	}
 	first, second := alloc.Slaves[0], alloc.Slaves[1]
 	if first.Leg != 0 || first.Proc != 3 || first.EmitStart != 0 {
@@ -58,7 +58,7 @@ func TestPackHandChecked(t *testing.T) {
 }
 
 func TestPackEmissionsBackToBackAndDeadlineMet(t *testing.T) {
-	vs := platform.ExpandFork(platform.NewFork(1, 3, 2, 2, 1, 5), 6)
+	vs := expandFork(platform.NewFork(1, 3, 2, 2, 1, 5), 6)
 	alloc, err := Pack(vs, 6, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestRevertMeetsVirtualPromises(t *testing.T) {
 	// and including itself — in particular never past the deadline.
 	f := platform.NewFork(2, 5, 1, 3, 3, 2)
 	const deadline = 30
-	vs := platform.ExpandFork(f, 8)
+	vs := expandFork(f, 8)
 	alloc, err := Pack(vs, 8, deadline)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestRevertMeetsVirtualPromises(t *testing.T) {
 	if err := s.Verify(); err != nil {
 		t.Fatalf("infeasible: %v", err)
 	}
-	if s.Len() != alloc.Len() {
-		t.Fatalf("reverted %d tasks, allocation has %d", s.Len(), alloc.Len())
+	if s.Len() != len(alloc.Slaves) {
+		t.Fatalf("reverted %d tasks, allocation has %d", s.Len(), len(alloc.Slaves))
 	}
 	prefixMax := make([]platform.Time, f.Len())
 	for i, c := range alloc.Slaves {
@@ -225,5 +225,24 @@ func TestMinMakespanDegenerate(t *testing.T) {
 	}
 	if mk != 5 || s.Len() != 1 {
 		t.Errorf("single slave single task: mk=%d len=%d, want 5,1", mk, s.Len())
+	}
+}
+
+func TestExpandFork(t *testing.T) {
+	f := platform.NewFork(2, 5, 1, 4)
+	vs := expandFork(f, 3)
+	if len(vs) != 6 {
+		t.Fatalf("len = %d, want 6", len(vs))
+	}
+	// Slaves of leg 0 come first, then leg 1.
+	for i, v := range vs[:3] {
+		if v.Leg != 0 || v.Rank != i {
+			t.Errorf("slave %d = %v, want leg 0 rank %d", i, v, i)
+		}
+	}
+	for i, v := range vs[3:] {
+		if v.Leg != 1 || v.Rank != i {
+			t.Errorf("slave %d = %v, want leg 1 rank %d", i+3, v, i)
+		}
 	}
 }

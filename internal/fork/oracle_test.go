@@ -2,6 +2,7 @@ package fork
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/platform"
@@ -15,6 +16,17 @@ import (
 // spider.Solver, which drives Packer directly — so it lives beside the
 // tests that hold Packer, and through it the spider path, to it.
 
+// expandFork applies platform.ExpandNode to every slave of the fork,
+// producing count virtual slaves per physical slave. Leg is set to the
+// slave index.
+func expandFork(f platform.Fork, count int) []platform.VirtualSlave {
+	out := make([]platform.VirtualSlave, 0, count*len(f.Slaves))
+	for i, n := range f.Slaves {
+		out = append(out, platform.ExpandNode(n, count, i)...)
+	}
+	return out
+}
+
 // Pack admits at most n virtual slaves within the deadline using the
 // greedy admission of [2]: candidates are scanned in ascending (Comm,
 // Proc) order and kept whenever the decreasing-processing-time packing
@@ -23,7 +35,7 @@ import (
 // Each candidate costs O(log n) on the tree packer (PackTree).
 func Pack(vs []platform.VirtualSlave, n int, deadline platform.Time) (*Allocation, error) {
 	order := append([]platform.VirtualSlave(nil), vs...)
-	platform.SortVirtualSlaves(order)
+	slices.SortFunc(order, platform.CompareVirtualSlaves)
 	return PackTree(order, n, deadline)
 }
 
@@ -119,11 +131,11 @@ func MaxTasks(f platform.Fork, n int, deadline platform.Time) (int, error) {
 	if err := f.Validate(); err != nil {
 		return 0, err
 	}
-	alloc, err := Pack(platform.ExpandFork(f, n), n, deadline)
+	alloc, err := Pack(expandFork(f, n), n, deadline)
 	if err != nil {
 		return 0, err
 	}
-	return alloc.Len(), nil
+	return len(alloc.Slaves), nil
 }
 
 // ScheduleWithin schedules as many tasks as possible (at most n) on the
@@ -134,7 +146,7 @@ func ScheduleWithin(f platform.Fork, n int, deadline platform.Time) (*sched.Spid
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	alloc, err := Pack(platform.ExpandFork(f, n), n, deadline)
+	alloc, err := Pack(expandFork(f, n), n, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +188,10 @@ func MinMakespan(f platform.Fork, n int) (platform.Time, *sched.SpiderSchedule, 
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("fork: task count %d is not positive", n)
 	}
-	vs := platform.ExpandFork(f, n)
+	vs := expandFork(f, n)
 	fits := func(deadline platform.Time) bool {
 		alloc, err := Pack(vs, n, deadline)
-		return err == nil && alloc.Len() == n
+		return err == nil && len(alloc.Slaves) == n
 	}
 	lo, hi := platform.Time(1), f.Spider().MasterOnlyMakespan(n)
 	for lo < hi {

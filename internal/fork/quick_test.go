@@ -89,7 +89,7 @@ func TestQuickMinMakespanIsTight(t *testing.T) {
 func TestQuickPackNeverOverrunsDeadline(t *testing.T) {
 	prop := func(in tinyFork, rawDeadline uint16) bool {
 		deadline := platform.Time(rawDeadline % 60)
-		alloc, err := Pack(platform.ExpandFork(in.Fork, in.N), in.N, deadline)
+		alloc, err := Pack(expandFork(in.Fork, in.N), in.N, deadline)
 		if err != nil {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestQuickPackNeverOverrunsDeadline(t *testing.T) {
 				return false
 			}
 		}
-		return alloc.Len() <= in.N
+		return len(alloc.Slaves) <= in.N
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package fork
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/platform"
@@ -35,8 +36,8 @@ func packSpec(order []platform.VirtualSlave, n int, deadline platform.Time) *All
 // equal counts.
 func allocsIdentical(t *testing.T, label string, got, want *Allocation) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: admitted %d slaves, want %d", label, got.Len(), want.Len())
+	if len(got.Slaves) != len(want.Slaves) {
+		t.Fatalf("%s: admitted %d slaves, want %d", label, len(got.Slaves), len(want.Slaves))
 	}
 	for i := range want.Slaves {
 		if got.Slaves[i] != want.Slaves[i] {
@@ -68,7 +69,7 @@ func randomCandidates(r *rand.Rand) []platform.VirtualSlave {
 			Rank: k,
 		})
 	}
-	platform.SortVirtualSlaves(vs)
+	slices.SortFunc(vs, platform.CompareVirtualSlaves)
 	return vs
 }
 
@@ -166,7 +167,7 @@ func TestTreePackerEdges(t *testing.T) {
 	if p.Offer(platform.VirtualSlave{Comm: 1, Proc: 1}) {
 		t.Error("zero-budget packer admitted a candidate")
 	}
-	if got := p.Allocation(); got.Len() != 0 || got.Deadline != 10 {
+	if got := p.Allocation(); len(got.Slaves) != 0 || got.Deadline != 10 {
 		t.Errorf("empty allocation = %+v", got)
 	}
 	// A candidate that exactly meets the deadline is admitted; one unit
@@ -195,8 +196,8 @@ func TestTreePackerLargeStream(t *testing.T) {
 	}
 	g := platform.MustGenerator(41, 1, 9, platform.Bimodal)
 	f := g.Fork(64)
-	vs := platform.ExpandFork(f, 128)
-	platform.SortVirtualSlaves(vs)
+	vs := expandFork(f, 128)
+	slices.SortFunc(vs, platform.CompareVirtualSlaves)
 	for _, deadline := range []platform.Time{0, 17, 133, 900, 4000} {
 		slice, err := PackSorted(vs, 128, deadline)
 		if err != nil {

@@ -3,7 +3,6 @@ package platform
 import (
 	"cmp"
 	"fmt"
-	"slices"
 )
 
 // VirtualSlave is a single-task slave produced by the transformations of
@@ -46,16 +45,6 @@ func ExpandNode(n Node, count int, leg int) []VirtualSlave {
 	return out
 }
 
-// ExpandFork applies ExpandNode to every slave of the fork, producing
-// count virtual slaves per physical slave. Leg is set to the slave index.
-func ExpandFork(f Fork, count int) []VirtualSlave {
-	out := make([]VirtualSlave, 0, count*len(f.Slaves))
-	for i, n := range f.Slaves {
-		out = append(out, ExpandNode(n, count, i)...)
-	}
-	return out
-}
-
 // CompareVirtualSlaves is the admission order of the fork-graph
 // algorithm of [2] recalled in §6: ascending link latency, breaking
 // ties by ascending processing time, then by origin. No two distinct
@@ -72,11 +61,6 @@ func CompareVirtualSlaves(a, b VirtualSlave) int {
 		return c
 	}
 	return cmp.Compare(a.Rank, b.Rank)
-}
-
-// SortVirtualSlaves orders virtual slaves by CompareVirtualSlaves.
-func SortVirtualSlaves(vs []VirtualSlave) {
-	slices.SortFunc(vs, CompareVirtualSlaves)
 }
 
 // String renders the virtual slave.

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -46,25 +47,6 @@ func TestExpandNodeZeroCount(t *testing.T) {
 	}
 }
 
-func TestExpandFork(t *testing.T) {
-	f := NewFork(2, 5, 1, 4)
-	vs := ExpandFork(f, 3)
-	if len(vs) != 6 {
-		t.Fatalf("len = %d, want 6", len(vs))
-	}
-	// Slaves of leg 0 come first, then leg 1.
-	for i, v := range vs[:3] {
-		if v.Leg != 0 || v.Rank != i {
-			t.Errorf("slave %d = %v, want leg 0 rank %d", i, v, i)
-		}
-	}
-	for i, v := range vs[3:] {
-		if v.Leg != 1 || v.Rank != i {
-			t.Errorf("slave %d = %v, want leg 1 rank %d", i+3, v, i)
-		}
-	}
-}
-
 func TestExpandPipelinePeriodProperty(t *testing.T) {
 	// Consecutive virtual slaves of one node differ by exactly
 	// max(c, w); the first equals w.
@@ -96,7 +78,7 @@ func TestSortVirtualSlaves(t *testing.T) {
 		{Comm: 1, Proc: 2, Leg: 0, Rank: 0},
 		{Comm: 2, Proc: 5, Leg: 2, Rank: 3},
 	}
-	SortVirtualSlaves(vs)
+	slices.SortFunc(vs, CompareVirtualSlaves)
 	if !sort.SliceIsSorted(vs, func(i, j int) bool {
 		a, b := vs[i], vs[j]
 		if a.Comm != b.Comm {

@@ -1,8 +1,9 @@
 package platform
 
 import (
-	"bytes"
 	"sync"
+
+	"repro/internal/jsonscan"
 )
 
 // This file is the request-path decoder of the tagged platform
@@ -54,60 +55,25 @@ func (d Decoded) validate() error {
 	}
 }
 
-// maxWireTreeDepth caps the tree levels the canonical decoder descends
-// before handing the input to the reference, whose own nesting limit
-// (10 000 JSON levels, two per tree level) then decides. Tree input is
-// untrusted, so the recursion must be bounded.
-const maxWireTreeDepth = 1000
-
-// wireKey names one object key of the canonical grammar.
-type wireKey uint8
-
-const (
-	keyNone wireKey = iota // not a canonical key: fall back
-	keyKind
-	keyChain
-	keySpider
-	keyFork
-	keyTree
-	keyNodes
-	keyLegs
-	keySlaves
-	keyRoots
-	keyC
-	keyW
-	keyChildren
+// The canonical grammar's key tables, one per object. An envelope's
+// kind value names its body by the body's index in envelopeKeys.
+var (
+	envelopeKeys = []string{"kind", "chain", "spider", "fork", "tree"}
+	nodeKeys     = []string{"c", "w"}
+	treeNodeKeys = []string{"c", "w", "children"}
+	nodesKeys    = []string{"nodes"}
+	slavesKeys   = []string{"slaves"}
+	legsKeys     = []string{"legs"}
+	rootsKeys    = []string{"roots"}
 )
 
-func wireKeyOf(raw []byte) wireKey {
-	switch string(raw) {
-	case "kind":
-		return keyKind
-	case "chain":
-		return keyChain
-	case "spider":
-		return keySpider
-	case "fork":
-		return keyFork
-	case "tree":
-		return keyTree
-	case "nodes":
-		return keyNodes
-	case "legs":
-		return keyLegs
-	case "slaves":
-		return keySlaves
-	case "roots":
-		return keyRoots
-	case "c":
-		return keyC
-	case "w":
-		return keyW
-	case "children":
-		return keyChildren
-	}
-	return keyNone
-}
+const (
+	envKind = iota
+	envChain
+	envSpider
+	envFork
+	envTree
+)
 
 // legMark closes one spider leg: the end of its nodes in wireDecoder.nodes
 // and whether the leg carried a "nodes" key at all (an absent key
@@ -121,8 +87,7 @@ type legMark struct {
 // reused across decodes through wirePool; results are always copied out
 // of them into exactly-sized slices.
 type wireDecoder struct {
-	b     []byte
-	i     int
+	jsonscan.Scanner
 	nodes []Node     // chain, spider or fork nodes in document order
 	legs  []legMark  // spider legs in document order
 	sibs  []TreeNode // tree siblings, a stack of the open child lists
@@ -138,9 +103,9 @@ const maxPooledNodes = 1 << 16
 // reports whether it was. The result is not yet validated.
 func decodeCanonical(b []byte) (Decoded, bool) {
 	d := wirePool.Get().(*wireDecoder)
-	d.b, d.i = b, 0
+	d.B, d.I = b, 0
 	out, ok := d.envelope()
-	d.b = nil
+	d.B = nil
 	// A successful decode leaves the sibling stack empty and cleared, so
 	// its cost does not depend on what earlier decodes left in the
 	// pooled scratch. A failed one can leave children slices above the
@@ -155,138 +120,26 @@ func decodeCanonical(b []byte) (Decoded, bool) {
 	return out, ok
 }
 
-// peek skips JSON whitespace and returns the next byte, 0 at the end.
-func (d *wireDecoder) peek() byte {
-	b, i := d.b, d.i
-	for ; i < len(b); i++ {
-		if c := b[i]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
-			d.i = i
-			return c
-		}
-	}
-	d.i = i
-	return 0
-}
-
-// eat consumes c, after whitespace, if it comes next.
-func (d *wireDecoder) eat(c byte) bool {
-	if d.peek() == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// str reads a string and returns its raw bytes. Canonical strings hold
-// no escapes, so the raw bytes up to the next quote are the whole
-// string whenever they match a canonical name; callers reject any
-// other content, which is how escaped strings reach the reference.
-func (d *wireDecoder) str() ([]byte, bool) {
-	if d.peek() != '"' {
-		return nil, false
-	}
-	lo := d.i + 1
-	n := bytes.IndexByte(d.b[lo:], '"')
-	if n < 0 {
-		return nil, false
-	}
-	d.i = lo + n + 1
-	return d.b[lo : lo+n], true
-}
-
-// object parses an object whose every key is canonical and appears at
-// most once; member consumes the value of each key and reports whether
-// the key belongs in this object and its value parsed.
-func (d *wireDecoder) object(member func(k wireKey) bool) bool {
-	if !d.eat('{') {
-		return false
-	}
-	if d.eat('}') {
-		return true
-	}
-	var seen uint32
-	for {
-		raw, ok := d.str()
-		if !ok {
-			return false
-		}
-		k := wireKeyOf(raw)
-		if k == keyNone || seen&(1<<k) != 0 || !d.eat(':') || !member(k) {
-			return false
-		}
-		seen |= 1 << k
-		if !d.eat(',') {
-			return d.eat('}')
-		}
-	}
-}
-
-// array parses an array, elem consuming each element.
-func (d *wireDecoder) array(elem func() bool) bool {
-	if !d.eat('[') {
-		return false
-	}
-	if d.eat(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !d.eat(',') {
-			return d.eat(']')
-		}
-	}
-}
-
-// time reads a plain decimal integer of at most 18 digits, which always
-// fits a Time. Longer numbers, fractions and exponents are left to the
-// reference, whose range and type errors then apply.
-func (d *wireDecoder) time(dst *Time) bool {
-	d.peek()
-	i := d.i
-	neg := i < len(d.b) && d.b[i] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	var v Time
-	for ; i < len(d.b) && d.b[i] >= '0' && d.b[i] <= '9'; i++ {
-		v = v*10 + Time(d.b[i]-'0')
-	}
-	if n := i - start; n == 0 || n > 18 || (n > 1 && d.b[start] == '0') {
-		return false
-	}
-	if neg {
-		v = -v
-	}
-	d.i, *dst = i, v
-	return true
-}
-
 // node parses one {"c": …, "w": …} object onto the nodes scratch.
 func (d *wireDecoder) node() bool {
 	var n Node
-	ok := d.object(func(k wireKey) bool {
-		switch k {
-		case keyC:
-			return d.time(&n.Comm)
-		case keyW:
-			return d.time(&n.Work)
+	ok := d.Object(nodeKeys, func(k int) bool {
+		if k == 0 {
+			return jsonscan.Int(&d.Scanner, &n.Comm)
 		}
-		return false
+		return jsonscan.Int(&d.Scanner, &n.Work)
 	})
 	d.nodes = append(d.nodes, n)
 	return ok
 }
 
-// nodeList parses an object whose only key is key, holding an array of
-// nodes — a chain's {"nodes": […]} or a fork's {"slaves": […]} — onto
-// the nodes scratch, and reports whether the key was present.
-func (d *wireDecoder) nodeList(key wireKey) (present, ok bool) {
-	ok = d.object(func(k wireKey) bool {
-		present = k == key
-		return present && d.array(d.node)
+// nodeList parses an object whose only key is keys[0], holding an
+// array of nodes — a chain's {"nodes": […]} or a fork's {"slaves": […]}
+// — onto the nodes scratch, and reports whether the key was present.
+func (d *wireDecoder) nodeList(keys []string) (present, ok bool) {
+	ok = d.Object(keys, func(int) bool {
+		present = true
+		return d.Array(d.node)
 	})
 	return present, ok
 }
@@ -308,10 +161,10 @@ func (d *wireDecoder) takeNodes(present bool) []Node {
 func (d *wireDecoder) spider() (*Spider, bool) {
 	var sp Spider
 	hasLegs := false
-	ok := d.object(func(k wireKey) bool {
-		hasLegs = k == keyLegs
-		return hasLegs && d.array(func() bool {
-			has, ok := d.nodeList(keyNodes)
+	ok := d.Object(legsKeys, func(int) bool {
+		hasLegs = true
+		return d.Array(func() bool {
+			has, ok := d.nodeList(nodesKeys)
 			d.legs = append(d.legs, legMark{len(d.nodes), has})
 			return ok
 		})
@@ -333,15 +186,17 @@ func (d *wireDecoder) spider() (*Spider, bool) {
 	return &sp, true
 }
 
-// treeList parses an array of tree nodes into an exactly-sized slice,
-// building it on top of the sibling stack.
+// treeList parses an array of tree nodes at JSON nesting depth (the
+// envelope is depth 0) into an exactly-sized slice, building it on top
+// of the sibling stack. Tree input is untrusted, so the recursion stops
+// at jsonscan.MaxDepth and leaves deeper trees to the reference.
 func (d *wireDecoder) treeList(depth int) ([]TreeNode, bool) {
-	if depth > maxWireTreeDepth {
+	if depth+1 >= jsonscan.MaxDepth {
 		return nil, false
 	}
 	mark := len(d.sibs)
-	ok := d.array(func() bool {
-		n, ok := d.treeNode(depth)
+	ok := d.Array(func() bool {
+		n, ok := d.treeNode(depth + 1)
 		d.sibs = append(d.sibs, n)
 		return ok
 	})
@@ -357,44 +212,41 @@ func (d *wireDecoder) treeList(depth int) ([]TreeNode, bool) {
 
 func (d *wireDecoder) treeNode(depth int) (TreeNode, bool) {
 	var n TreeNode
-	ok := d.object(func(k wireKey) bool {
+	ok := d.Object(treeNodeKeys, func(k int) bool {
 		switch k {
-		case keyC:
-			return d.time(&n.Comm)
-		case keyW:
-			return d.time(&n.Work)
-		case keyChildren:
-			var ok bool
-			n.Children, ok = d.treeList(depth + 1)
-			return ok
+		case 0:
+			return jsonscan.Int(&d.Scanner, &n.Comm)
+		case 1:
+			return jsonscan.Int(&d.Scanner, &n.Work)
 		}
-		return false
+		var ok bool
+		n.Children, ok = d.treeList(depth + 1)
+		return ok
 	})
 	return n, ok
 }
 
-// body parses the platform object under the envelope key k into out.
-func (d *wireDecoder) body(k wireKey, out *Decoded) bool {
+// body parses the platform object under the envelope key envelopeKeys[k]
+// into out.
+func (d *wireDecoder) body(k int, out *Decoded) bool {
 	switch k {
-	case keyChain:
-		has, ok := d.nodeList(keyNodes)
+	case envChain:
+		has, ok := d.nodeList(nodesKeys)
 		out.Kind, out.Chain = "chain", &Chain{Nodes: d.takeNodes(has)}
 		return ok
-	case keySpider:
+	case envSpider:
 		sp, ok := d.spider()
 		out.Kind, out.Spider = "spider", sp
 		return ok
-	case keyFork:
-		has, ok := d.nodeList(keySlaves)
+	case envFork:
+		has, ok := d.nodeList(slavesKeys)
 		out.Kind, out.Fork = "fork", &Fork{Slaves: d.takeNodes(has)}
 		return ok
 	default:
 		var t Tree
-		ok := d.object(func(k wireKey) bool {
+		ok := d.Object(rootsKeys, func(int) bool {
 			var ok bool
-			if k == keyRoots {
-				t.Roots, ok = d.treeList(1)
-			}
+			t.Roots, ok = d.treeList(2)
 			return ok
 		})
 		out.Kind, out.Tree = "tree", &t
@@ -406,23 +258,20 @@ func (d *wireDecoder) body(k wireKey, out *Decoded) bool {
 // one body it names, in either order. Bytes after it are ignored.
 func (d *wireDecoder) envelope() (Decoded, bool) {
 	var out Decoded
-	kind, body := keyNone, keyNone
-	ok := d.object(func(k wireKey) bool {
-		switch k {
-		case keyKind:
-			raw, ok := d.str()
-			kind = wireKeyOf(raw)
-			return ok && kind >= keyChain && kind <= keyTree
-		case keyChain, keySpider, keyFork, keyTree:
-			if body != keyNone {
-				return false
-			}
-			body = k
-			return d.body(k, &out)
+	// kind and body stay envKind, which names no body, until read.
+	kind, body := envKind, envKind
+	ok := d.Object(envelopeKeys, func(k int) bool {
+		switch {
+		case k == envKind:
+			kind = d.Key(envelopeKeys)
+			return kind > envKind
+		case body != envKind: // a second body
+			return false
 		}
-		return false
+		body = k
+		return d.body(k, &out)
 	})
-	if !ok || kind == keyNone || kind != body {
+	if !ok || kind == envKind || kind != body {
 		return Decoded{}, false
 	}
 	return out, true

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/jsonscan"
 )
 
 // sameAsReference fails unless Decode agrees with the encoding/json
@@ -252,7 +254,7 @@ func TestDecodeExactSlices(t *testing.T) {
 // why decodeCanonical clears the scratch only after a failed decode.
 func TestDecodeLeavesSiblingStackClear(t *testing.T) {
 	for _, env := range writerEnvelopes(t) {
-		d := &wireDecoder{b: env}
+		d := &wireDecoder{Scanner: jsonscan.Scanner{B: env}}
 		if _, ok := d.envelope(); !ok {
 			t.Fatalf("envelope %.80q left the canonical grammar", env)
 		}

@@ -205,7 +205,7 @@ func appendChainTask(dst []byte, t *ChainTask, d int) []byte {
 // its buffer once; a short estimate costs one more growth, nothing else.
 
 // grow returns dst with room for n more bytes, in one allocation when
-// it has to move.
+// it has to move; slices.Grow takes two under the race detector.
 func grow(dst []byte, n int) []byte {
 	if cap(dst)-len(dst) >= n {
 		return dst

@@ -2,8 +2,11 @@ package sched
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 func TestChainScheduleRoundTrip(t *testing.T) {
@@ -92,4 +95,47 @@ func TestReadScheduleDoesNotVerify(t *testing.T) {
 	if err := dec.Chain.Verify(); err == nil {
 		t.Error("round trip lost the infeasibility")
 	}
+}
+
+// FuzzReadSchedule holds the schedule reader to its contract on
+// arbitrary bytes, as msverify feeds it user files: a decoded schedule
+// or an error, never a panic. Every document it accepts re-encodes
+// through the appenders and decodes again to the same value.
+func FuzzReadSchedule(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte{})
+	f.Add([]byte(`{"kind":"chain","chain_schedule":null}`))
+	f.Add(AppendChainSchedule(nil, handSchedule()))
+	f.Add(AppendSpiderSchedule(nil, handSpiderSchedule()))
+	f.Add(AppendChainSchedule(nil, &ChainSchedule{}))
+	f.Add(AppendSpiderSchedule(nil, &SpiderSchedule{}))
+	f.Add(AppendChainSchedule(nil, &ChainSchedule{Chain: platform.Chain{Nodes: []platform.Node{}}, Tasks: []ChainTask{{Comms: []platform.Time{}}}}))
+	f.Add(AppendSpiderSchedule(nil, &SpiderSchedule{Spider: platform.Spider{Legs: []platform.Chain{{}}}, Tasks: []SpiderTask{}}))
+	for seed := int64(0); seed < 4; seed++ {
+		cs, ss := randomSchedules(seed, uint8(seed), uint8(3*seed), uint8(seed))
+		f.Add(AppendChainSchedule(nil, cs))
+		f.Add(AppendSpiderSchedule(nil, ss))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		dec, err := ReadSchedule(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch {
+		case dec.Kind == "chain" && dec.Chain != nil && dec.Spider == nil:
+			again = AppendChainSchedule(nil, dec.Chain)
+		case dec.Kind == "spider" && dec.Spider != nil && dec.Chain == nil:
+			again = AppendSpiderSchedule(nil, dec.Spider)
+		default:
+			t.Fatalf("accepted %q as kind %q, chain %v, spider %v", doc, dec.Kind, dec.Chain != nil, dec.Spider != nil)
+		}
+		back, err := ReadSchedule(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded %q does not decode: %v\n%s", doc, err, again)
+		}
+		if !reflect.DeepEqual(back, dec) {
+			t.Fatalf("round trip of %q changed the schedule:\n%+v\nwant\n%+v", doc, back, dec)
+		}
+	})
 }

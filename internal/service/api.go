@@ -29,7 +29,9 @@ type Op string
 
 const (
 	// OpMinMakespan asks for the optimal makespan of exactly N tasks
-	// and (optionally) a schedule achieving it.
+	// and (optionally) a schedule achieving it. On a tree that is not
+	// spider-shaped the answer is the §8 spider cover's feasible
+	// makespan, an upper bound on the optimum rather than the optimum.
 	OpMinMakespan Op = "min_makespan"
 	// OpMaxTasks asks how many of at most N tasks complete within the
 	// deadline.
@@ -138,7 +140,10 @@ type Response struct {
 	N        int           `json:"n"`
 	Deadline platform.Time `json:"deadline,omitempty"`
 	// Makespan is the optimal makespan (min_makespan) or the makespan
-	// of the returned schedule (schedule_within); 0 for max_tasks.
+	// of the returned schedule (schedule_within); 0 for max_tasks. On a
+	// tree that is not spider-shaped, min_makespan answers the §8 spider
+	// cover's feasible makespan: an upper bound on the optimum, which
+	// the response does not yet mark.
 	Makespan platform.Time `json:"makespan,omitempty"`
 	// Tasks is the number of tasks scheduled/counted.
 	Tasks int `json:"tasks"`

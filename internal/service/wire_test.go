@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jsonscan"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/spider"
@@ -310,8 +311,8 @@ func TestResponseCodecMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var back Response
-		s := jscan{b: out}
-		if !s.response(&back) {
+		s := jsonscan.Scanner{B: out}
+		if !scanResponse(&s, &back) {
 			t.Errorf("%s: canonical response decoded through the reference", name)
 		}
 		checkResponse(t, r)

@@ -1,6 +1,7 @@
 package spider
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -45,13 +46,13 @@ func (o *sliceOracle) probe(n int, deadline platform.Time) (*sched.SpiderSchedul
 		}
 	}
 	o.streamed += int64(len(stream))
-	platform.SortVirtualSlaves(stream)
+	slices.SortFunc(stream, platform.CompareVirtualSlaves)
 	a, err := packSorted(stream, n, deadline)
 	if err != nil {
 		return nil, 0, err
 	}
 	out, err := o.s.revert(a, deadline)
-	return out, a.Len(), err
+	return out, len(a.Slaves), err
 }
 
 func (o *sliceOracle) MaxTasks(n int, deadline platform.Time) (int, error) {

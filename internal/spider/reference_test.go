@@ -2,6 +2,7 @@ package spider
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,7 +134,7 @@ func ReferenceScheduleWithin(sp platform.Spider, n int, deadline platform.Time) 
 	// path must stay off the tree packer so the fast-vs-reference
 	// equivalence tests anchor the production packing to an independent
 	// implementation of the greedy.
-	platform.SortVirtualSlaves(virt)
+	slices.SortFunc(virt, platform.CompareVirtualSlaves)
 	alloc, err := packSorted(virt, n, deadline)
 	if err != nil {
 		return nil, err
