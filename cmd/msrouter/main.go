@@ -15,17 +15,20 @@
 //	                it); transport errors fail over clockwise around
 //	                the ring, application errors (429 included) travel
 //	                back untouched
-//	GET  /metrics — the fleet's expositions merged (same-name samples
-//	                summed) plus the router's forward/failover counters
+//	GET  /metrics — the router's forward/failover counters and the
+//	                fleet's expositions, summed by obs.Exposition.Add:
+//	                samples with the same name and label set add up
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail
 //	GET  /shards  — the shard map (members + vnodes) for clients that
 //	                route themselves (client.WithShards)
 //
 // Every router (and routing client) given the same -shards list and
-// -vnodes computes identical placement — there is no coordination
-// protocol, the ring IS the protocol. Placement depends only on the
-// member strings, so use stable shard addresses.
+// -vnodes computes identical placement — both build one
+// cluster.ShardMap from them; there is no coordination protocol, the
+// ring IS the protocol. Placement depends only on the member strings,
+// so use stable shard addresses. The router's own errors carry the
+// shards' JSON error envelope, {"error": "..."}.
 //
 // The router is stateless: restart it freely, run several in parallel
 // behind one load balancer. The warm state lives in the shards and

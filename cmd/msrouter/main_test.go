@@ -75,7 +75,11 @@ func TestRouterDaemonEndToEnd(t *testing.T) {
 
 	spA, spB := ownedBy(shardA.URL), ownedBy(shardB.URL)
 	for _, sp := range []platform.Spider{spA, spB, spA} { // third is a warm repeat
-		resp, err := cl.MinMakespanSpider(ctx, sp, 20, false)
+		req, err := service.NewRequest(sp, service.OpMinMakespan, 20, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cl.Do(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,22 @@ import (
 	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/solve"
 	"repro/internal/spider"
 	"repro/internal/tree"
 )
+
+// mustRequest builds the /solve request for p, failing the test if the
+// platform does not encode.
+func mustRequest(t testing.TB, p solve.Platform, op service.Op, n int, deadline platform.Time, withSchedule bool) *service.Request {
+	t.Helper()
+	req, err := service.NewRequest(p, op, n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.IncludeSchedule = withSchedule
+	return req
+}
 
 // daemon is a running msserve: a client for its /solve surface plus
 // its base URL for the other endpoints.
@@ -83,11 +96,11 @@ func TestServeQueryShutdown(t *testing.T) {
 
 	sp := platform.NewSpider(platform.NewChain(2, 5, 3, 3), platform.NewChain(1, 4))
 	n := 10
-	cold, err := cl.MinMakespanSpider(ctx, sp, n, true)
+	cold, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cl.MinMakespanSpider(ctx, sp, n, true)
+	warm, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +130,10 @@ func TestServeQueryShutdown(t *testing.T) {
 	// An exact scalar repeat rides the result memo: the first scalar
 	// query solves and seeds it, the second answers from it, and the
 	// counter travels /metrics.
-	if _, err := cl.MinMakespanSpider(ctx, sp, n, false); err != nil {
+	if _, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, false)); err != nil {
 		t.Fatal(err)
 	}
-	memoed, err := cl.MinMakespanSpider(ctx, sp, n, false)
+	memoed, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +183,11 @@ func TestServeTreeMatchesScheduleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold, err := cl.MinMakespanTree(ctx, tr, n, true)
+	cold, err := cl.Do(ctx, mustRequest(t, tr, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cl.MinMakespanTree(ctx, tr, n, true)
+	warm, err := cl.Do(ctx, mustRequest(t, tr, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +208,10 @@ func TestServeTreeMatchesScheduleTree(t *testing.T) {
 	}
 
 	// Scalar repeats ride the per-entry memo.
-	if _, err := cl.MinMakespanTree(ctx, tr, n, false); err != nil {
+	if _, err := cl.Do(ctx, mustRequest(t, tr, service.OpMinMakespan, n, 0, false)); err != nil {
 		t.Fatal(err)
 	}
-	memoed, err := cl.MinMakespanTree(ctx, tr, n, false)
+	memoed, err := cl.Do(ctx, mustRequest(t, tr, service.OpMinMakespan, n, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +238,14 @@ func TestServeConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := mustRequest(t, sp, service.OpMinMakespan, 24, 0, false)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				resp, err := cl.MinMakespanSpider(ctx, sp, 24, false)
+				resp, err := cl.Do(ctx, req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -280,7 +294,7 @@ func TestServeUsesServiceDefaults(t *testing.T) {
 	defer cancel()
 	ctx := context.Background()
 	sp := platform.NewSpider(platform.NewChain(1, 2))
-	req, err := service.NewSpiderRequest(sp, service.OpMinMakespan, 11, 0)
+	req, err := service.NewRequest(sp, service.OpMinMakespan, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +321,10 @@ func TestServeDrainTimeoutCancelsStuckSolve(t *testing.T) {
 	cl, cancel, out, done := startServer(t, []string{"-drain-timeout", "200ms", "-faults", rules})
 	defer cancel()
 
+	req := mustRequest(t, platform.NewSpider(platform.NewChain(2, 5)), service.OpMinMakespan, 8, 0, false)
 	solveErr := make(chan error, 1)
 	go func() {
-		_, err := cl.MinMakespanSpider(context.Background(), platform.NewSpider(platform.NewChain(2, 5)), 8, false)
+		_, err := cl.Do(context.Background(), req)
 		solveErr <- err
 	}()
 	// Wait until the solve is provably in flight (stuck in the

@@ -50,18 +50,7 @@ func diffCases() []diffCase {
 // diffRequest is the /solve request for any platform kind.
 func diffRequest(t *testing.T, p repro.Platform, op service.Op, n int, dl repro.Time, withSched bool) *service.Request {
 	t.Helper()
-	var req *service.Request
-	var err error
-	switch v := p.(type) {
-	case repro.Chain:
-		req, err = service.NewChainRequest(v, op, n, dl)
-	case repro.Spider:
-		req, err = service.NewSpiderRequest(v, op, n, dl)
-	case repro.Fork:
-		req, err = service.NewForkRequest(v, op, n, dl)
-	case repro.Tree:
-		req, err = service.NewTreeRequest(v, op, n, dl)
-	}
+	req, err := service.NewRequest(p, op, n, dl)
 	if err != nil {
 		t.Fatal(err)
 	}

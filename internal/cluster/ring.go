@@ -1,7 +1,8 @@
 // Package cluster is the distributed service tier: a consistent-hash
-// ring that assigns canonical platform fingerprints to shards, and a
-// router that fronts a fleet of msserve shards with a single /solve,
-// /metrics and /healthz surface.
+// ring that assigns canonical platform fingerprints to shards, the
+// shard map that routers and routing clients share, and a router that
+// fronts a fleet of msserve shards with a single /solve, /metrics and
+// /healthz surface.
 //
 // # Placement
 //
@@ -23,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/platform"
 )
@@ -189,4 +191,52 @@ func (r *Ring) successor(pt uint64) int {
 		return 0
 	}
 	return i
+}
+
+// ShardMap is a fleet's placement as every router and routing client
+// uses it: the ring over the shard names, and each shard's base URL. A
+// shard name is a host:port or an http:// URL, placed on the ring
+// verbatim.
+type ShardMap struct {
+	ring *Ring
+	urls map[string]string
+}
+
+// NewShardMap places the shards on a ring of vnodes points each
+// (DefaultVnodes if non-positive). Routers and clients of one fleet
+// must be given the same shard strings and vnodes, or their placements
+// disagree.
+func NewShardMap(shards []string, vnodes int) (*ShardMap, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("cluster: shard map needs at least one shard")
+	}
+	m := &ShardMap{ring: NewRing(vnodes), urls: make(map[string]string, len(shards))}
+	for _, s := range shards {
+		if err := m.ring.Add(s); err != nil {
+			return nil, err
+		}
+		base := s
+		if !strings.Contains(base, "://") {
+			base = "http://" + base
+		}
+		m.urls[s] = strings.TrimRight(base, "/")
+	}
+	return m, nil
+}
+
+// Ring returns the shard ring (read-only use).
+func (m *ShardMap) Ring() *Ring { return m.ring }
+
+// URL returns a shard's base URL, without a trailing slash.
+func (m *ShardMap) URL(shard string) string { return m.urls[shard] }
+
+// Targets returns the shards a request for the platform envelope env
+// tries, in order: the owner of the platform's canonical hash, then
+// every other shard clockwise. It errors when env does not decode.
+func (m *ShardMap) Targets(env []byte) ([]string, error) {
+	dec, err := platform.Decode(env)
+	if err != nil {
+		return nil, err
+	}
+	return m.ring.Owners(dec.Hash(), m.ring.Len()), nil
 }

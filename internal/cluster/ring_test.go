@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/platform"
@@ -243,5 +245,39 @@ func TestMembershipErrors(t *testing.T) {
 	}
 	if got := r.Owner(platform.Hash{}); got != "" {
 		t.Errorf("empty ring owner = %q, want empty", got)
+	}
+}
+
+// TestShardMap: shard names map to base URLs, a request's targets are
+// the ring's failover order for its platform's canonical hash, and an
+// empty fleet or an undecodable platform is an error.
+func TestShardMap(t *testing.T) {
+	m, err := NewShardMap([]string{"a:1", "http://b:2/"}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.URL("a:1"); got != "http://a:1" {
+		t.Errorf("URL(a:1) = %q", got)
+	}
+	if got := m.URL("http://b:2/"); got != "http://b:2" {
+		t.Errorf("URL(http://b:2/) = %q", got)
+	}
+	sp := platform.NewSpider(platform.NewChain(2, 5, 3, 3), platform.NewChain(1, 4))
+	var env bytes.Buffer
+	if err := platform.WriteSpider(&env, sp); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Targets(env.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Ring().Owners(platform.HashSpider(sp), 2); !slices.Equal(got, want) {
+		t.Errorf("Targets = %v, want ring order %v", got, want)
+	}
+	if _, err := m.Targets([]byte(`{"kind":"nope"}`)); err == nil {
+		t.Error("an undecodable platform has targets")
+	}
+	if _, err := NewShardMap(nil, 16); err == nil {
+		t.Error("an empty shard map was accepted")
 	}
 }

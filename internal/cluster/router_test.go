@@ -53,7 +53,7 @@ func spiderOwnedBy(t *testing.T, ring *Ring, member string) platform.Spider {
 
 func solveBody(t *testing.T, sp platform.Spider, n int) []byte {
 	t.Helper()
-	req, err := service.NewSpiderRequest(sp, service.OpMinMakespan, n, 0)
+	req, err := service.NewRequest(sp, service.OpMinMakespan, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +300,51 @@ func TestRouterRejectsUnroutable(t *testing.T) {
 	}
 	if st := a.svc.Stats(); st.Misses != 0 {
 		t.Errorf("unroutable bodies reached the shard: %+v", st)
+	}
+}
+
+// TestRouterMetricsKeepLabelSetsApart: the fleet /metrics sums a
+// sample across shards only when its name and whole label set agree.
+// Label sets whose `|k=v` joins coincide stay two series, and a label
+// value holding a raw tab, a backslash, a quote and a newline comes out
+// as a well-formed exposition carrying the same value.
+func TestRouterMetricsKeepLabelSetsApart(t *testing.T) {
+	const odd = "tab\there \\ \"q\" \nline"
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	a.Counter("x_total", "", "a", "p|b=q").Add(1)
+	b.Counter("x_total", "", "a", "p", "b", "q").Add(2)
+	a.Counter("x_total", "", "a", odd).Add(3)
+	b.Counter("x_total", "", "a", odd).Add(4)
+	texts := map[string]string{}
+	for host, reg := range map[string]*obs.Registry{"shard-a:1": a, "shard-b:2": b} {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		texts[host] = sb.String()
+	}
+	tr := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return textResponse(http.StatusOK, texts[r.URL.Host]), nil
+	})
+	rt, err := NewRouter([]string{"shard-a:1", "shard-b:2"}, 16, &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(rt, http.MethodGet, "/metrics", nil)
+	expo, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatalf("merged exposition does not parse: %v", err)
+	}
+	for _, c := range []struct {
+		labels map[string]string
+		want   float64
+	}{
+		{map[string]string{"a": "p|b=q"}, 1},
+		{map[string]string{"a": "p", "b": "q"}, 2},
+		{map[string]string{"a": odd}, 7},
+	} {
+		if v, err := expo.Value("x_total", c.labels); err != nil || v != c.want {
+			t.Errorf("x_total%v = %v (err %v), want %v", c.labels, v, err, c.want)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/solve"
 	"repro/internal/spider"
 )
 
@@ -333,15 +334,24 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 	defer ts.Close()
 	cl := client.New(ts.URL, ts.Client())
 	ctx := context.Background()
+	// send builds each request from the platform value and sends it, so
+	// every timed rep pays the platform encode as a caller would.
+	send := func(p solve.Platform, op service.Op, n int, deadline platform.Time) (*service.Response, error) {
+		req, err := service.NewRequest(p, op, n, deadline)
+		if err != nil {
+			return nil, err
+		}
+		return cl.Do(ctx, req)
+	}
 
 	for _, n := range svcSizes {
 		// One cold query warms the solver past this size; the measured
 		// reps are all warm-path.
-		if _, err := cl.MinMakespanSpider(ctx, sp, n, false); err != nil {
+		if _, err := send(sp, service.OpMinMakespan, n, 0); err != nil {
 			return err
 		}
 		d, err := minTime(benchReps, func() error {
-			_, err := cl.MinMakespanSpider(ctx, sp, n, false)
+			_, err := send(sp, service.OpMinMakespan, n, 0)
 			return err
 		})
 		if err != nil {
@@ -353,7 +363,7 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 	for _, n := range svcSizes {
 		// The deadline walk descends from the optimum, one distinct
 		// value per rep: the same solver work on every machine.
-		opt, err := cl.MinMakespanTree(ctx, tr, n, false)
+		opt, err := send(tr, service.OpMinMakespan, n, 0)
 		if err != nil {
 			return err
 		}
@@ -361,7 +371,7 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 		d, err := minTime(benchReps, func() error {
 			dl := max(opt.Makespan-platform.Time(rep), 1)
 			rep++
-			_, err := cl.MaxTasksTree(ctx, tr, n, dl)
+			_, err := send(tr, service.OpMaxTasks, n, dl)
 			return err
 		})
 		if err != nil {
@@ -378,7 +388,7 @@ func measureServiceFamilies(b *BenchBaseline, sp platform.Spider, tr platform.Tr
 		for i := 0; i < svcFanIn; i++ {
 			go func(i int) {
 				defer wg.Done()
-				_, errs[i] = cl.MinMakespanSpider(ctx, sp, n, false)
+				_, errs[i] = send(sp, service.OpMinMakespan, n, 0)
 			}(i)
 		}
 		wg.Wait()

@@ -79,7 +79,7 @@ func runRestartDrill() (*Table, error) {
 	// Distinct task counts per measurement dodge the per-entry scalar
 	// memo: each solve exercises the warmed plans, not a cached answer.
 	mkReq := func(n int) (*service.Request, error) {
-		return service.NewSpiderRequest(sp, service.OpMinMakespan, n, 0)
+		return service.NewRequest(sp, service.OpMinMakespan, n, 0)
 	}
 	reqCold, err := mkReq(4000)
 	if err != nil {
@@ -172,7 +172,7 @@ func runCapacity() (*Table, error) {
 			continue
 		}
 		perShard[ring.Owner(h)]++
-		req, err := service.NewSpiderRequest(sp, service.OpMinMakespan, 500+len(reqs), 0)
+		req, err := service.NewRequest(sp, service.OpMinMakespan, 500+len(reqs), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -4,17 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
 
 // This file is a minimal validating parser for the Prometheus text
 // exposition format — enough to assert that what WritePrometheus (and
-// hence the service's /metrics endpoint) emits is well-formed and to
-// let tests look up individual sample values. It deliberately lives in
-// the non-test tree: the service's HTTP tests and the CI e2e scrape
-// share it.
+// hence the service's /metrics endpoint) emits is well-formed, to let
+// tests look up individual sample values, and to sum a fleet's scrapes
+// into one (Exposition.Add, Exposition.Write), which the router's
+// /metrics serves.
 
 // Sample is one parsed exposition line: a metric instance and its value.
 type Sample struct {
@@ -30,17 +29,6 @@ type Exposition struct {
 	Samples []Sample
 	// Types maps family name to the declared TYPE.
 	Types map[string]string
-}
-
-// Find returns the samples with the given name.
-func (e *Exposition) Find(name string) []Sample {
-	var out []Sample
-	for _, s := range e.Samples {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Value returns the single sample with the given name whose labels all
@@ -64,6 +52,74 @@ next:
 		return 0, fmt.Errorf("obs: %d samples match %s%v, want exactly 1", len(found), name, want)
 	}
 	return found[0].Value, nil
+}
+
+// Add sums o into e. A sample whose name and label set e already holds
+// adds its value to e's; any other is appended, so first-seen order is
+// kept. Summing is the fleet total for every type: counters add, gauges
+// (entries, in-flight, queue depths) add, and histogram buckets add
+// bucket-wise because every shard emits the same bounds. A family keeps
+// the TYPE it had first.
+func (e *Exposition) Add(o *Exposition) {
+	if e.Types == nil {
+		e.Types = make(map[string]string, len(o.Types))
+	}
+	for name, typ := range o.Types {
+		if _, ok := e.Types[name]; !ok {
+			e.Types[name] = typ
+		}
+	}
+	at := make(map[string]int, len(e.Samples)+len(o.Samples))
+	for i, s := range e.Samples {
+		at[s.Name+braced(labelString(s.Labels, ""))] = i
+	}
+	for _, s := range o.Samples {
+		id := s.Name + braced(labelString(s.Labels, ""))
+		if i, ok := at[id]; ok {
+			e.Samples[i].Value += s.Value
+			continue
+		}
+		at[id] = len(e.Samples)
+		e.Samples = append(e.Samples, s)
+	}
+}
+
+// Write renders e in the text format: families in the order of their
+// first sample, each under one TYPE line and holding its samples in
+// order, labels rendered as the registry renders them. HELP lines are
+// not kept.
+func (e *Exposition) Write(w io.Writer) error {
+	var fams []string
+	byFam := make(map[string][]Sample)
+	for _, s := range e.Samples {
+		fam := familyOf(s.Name, e.Types)
+		if fam == "" {
+			fam = s.Name
+		}
+		if _, ok := byFam[fam]; !ok {
+			fams = append(fams, fam)
+		}
+		byFam[fam] = append(byFam[fam], s)
+	}
+	bw := bufio.NewWriter(w)
+	for _, fam := range fams {
+		if typ := e.Types[fam]; typ != "" {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", fam, typ)
+		}
+		for _, s := range byFam[fam] {
+			fmt.Fprintf(bw, "%s%s %s\n", s.Name, braced(labelString(s.Labels, "")), formatValue(s.Value))
+		}
+	}
+	return bw.Flush()
+}
+
+// formatValue writes integral values as integers and any other as the
+// shortest float that parses back to it.
+func formatValue(v float64) string {
+	if v == float64(int64(v)) {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // ParseExposition parses and validates a text-format scrape: every
@@ -165,9 +221,6 @@ func parseSampleLine(line string) (Sample, error) {
 	// so reject trailing fields outright.
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
-		if strings.TrimSpace(rest) == "+Inf" || strings.TrimSpace(rest) == "-Inf" || strings.TrimSpace(rest) == "NaN" {
-			return s, nil
-		}
 		return s, fmt.Errorf("bad value in %q: %v", line, err)
 	}
 	s.Value = v
@@ -243,19 +296,9 @@ func (e *Exposition) checkHistograms() error {
 	}
 	instances := map[string]*inst{}
 	counts := map[string]float64{}
+	// An instance is its family and its label set; a bucket drops le.
 	instKey := func(s Sample, drop string) string {
-		var sb strings.Builder
-		sb.WriteString(familyOf(s.Name, e.Types))
-		keys := make([]string, 0, len(s.Labels))
-		for k := range s.Labels {
-			if k != drop {
-				keys = append(keys, k)
-			}
-		}
-		for _, k := range sortedCopy(keys) {
-			fmt.Fprintf(&sb, "|%s=%s", k, s.Labels[k])
-		}
-		return sb.String()
+		return familyOf(s.Name, e.Types) + braced(labelString(s.Labels, drop))
 	}
 	for _, s := range e.Samples {
 		fam := familyOf(s.Name, e.Types)
@@ -303,10 +346,4 @@ func (e *Exposition) checkHistograms() error {
 		}
 	}
 	return nil
-}
-
-func sortedCopy(in []string) []string {
-	out := append([]string(nil), in...)
-	slices.Sort(out)
-	return out
 }

@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,24 +96,12 @@ func (r *Registry) key(name, help, typ string, labelPairs []string) metricKey {
 	if len(labelPairs)%2 != 0 {
 		panic(fmt.Sprintf("obs: odd label pairs for %s: %v", name, labelPairs))
 	}
-	type kv struct{ k, v string }
-	kvs := make([]kv, 0, len(labelPairs)/2)
+	labels := make(map[string]string, len(labelPairs)/2)
 	for i := 0; i < len(labelPairs); i += 2 {
 		if !labelName.MatchString(labelPairs[i]) {
 			panic(fmt.Sprintf("obs: invalid label name %q on %s", labelPairs[i], name))
 		}
-		kvs = append(kvs, kv{labelPairs[i], labelPairs[i+1]})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
-	var sb strings.Builder
-	for i, p := range kvs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(p.k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(p.v))
-		sb.WriteByte('"')
+		labels[labelPairs[i]] = labelPairs[i+1]
 	}
 	if f, ok := r.families[name]; ok {
 		if f.typ != typ {
@@ -125,7 +113,7 @@ func (r *Registry) key(name, help, typ string, labelPairs []string) metricKey {
 	} else {
 		r.families[name] = &family{name: name, help: help, typ: typ}
 	}
-	return metricKey{name: name, labels: sb.String()}
+	return metricKey{name: name, labels: labelString(labels, "")}
 }
 
 // escapeLabel escapes a label value per the text exposition format:
@@ -135,6 +123,32 @@ func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `"`, `\"`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return v
+}
+
+// labelString renders a label set without its braces: names sorted,
+// values escaped by escapeLabel, the label drop left out. The registry
+// keys its instances by it and an Exposition identifies a sample by it;
+// the escaping makes it injective, so distinct label sets never share a
+// rendering.
+func labelString(labels map[string]string, drop string) string {
+	names := make([]string, 0, len(labels))
+	for k := range labels {
+		if k != drop {
+			names = append(names, k)
+		}
+	}
+	slices.Sort(names)
+	var sb strings.Builder
+	for i, k := range names {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(k)
+		sb.WriteString(`="`)
+		sb.WriteString(escapeLabel(labels[k]))
+		sb.WriteByte('"')
+	}
+	return sb.String()
 }
 
 // Counter returns the counter instance for (name, labels), creating it
@@ -188,21 +202,4 @@ func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram
 		r.hists[k] = h
 	}
 	return h
-}
-
-// HistogramSnapshots returns every histogram instance's snapshot keyed
-// by "name{labels}" — the in-process view of the latency data (for
-// tests and benchmarks).
-func (r *Registry) HistogramSnapshots() map[string]HistogramSnapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]HistogramSnapshot, len(r.hists))
-	for k, h := range r.hists {
-		name := k.name
-		if k.labels != "" {
-			name += "{" + k.labels + "}"
-		}
-		out[name] = h.Snapshot()
-	}
-	return out
 }

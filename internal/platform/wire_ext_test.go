@@ -22,10 +22,10 @@ func TestRequestEnvelopesTakeFastPath(t *testing.T) {
 		}
 		reqs = append(reqs, r)
 	}
-	add(service.NewChainRequest(g.Chain(4), service.OpMinMakespan, 8, 0))
-	add(service.NewSpiderRequest(g.Spider(16, 3), service.OpMaxTasks, 8, 40))
-	add(service.NewForkRequest(g.Fork(16), service.OpScheduleWithin, 8, 40))
-	add(service.NewTreeRequest(g.Tree(3, 3), service.OpMinMakespan, 8, 0))
+	add(service.NewRequest(g.Chain(4), service.OpMinMakespan, 8, 0))
+	add(service.NewRequest(g.Spider(16, 3), service.OpMaxTasks, 8, 40))
+	add(service.NewRequest(g.Fork(16), service.OpScheduleWithin, 8, 40))
+	add(service.NewRequest(g.Tree(3, 3), service.OpMinMakespan, 8, 0))
 	for _, req := range reqs {
 		body, err := json.Marshal(req)
 		if err != nil {

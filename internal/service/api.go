@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/solve"
 )
 
 // Op names one query kind.
@@ -244,39 +245,25 @@ type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// NewChainRequest builds a /solve request for a chain.
-func NewChainRequest(ch platform.Chain, op Op, n int, deadline platform.Time) (*Request, error) {
+// NewRequest builds a /solve request for any platform kind. A tree's
+// responses carry schedules expressed on its §8 covering spider
+// (uncovered processors idle), exactly like repro.NewSolver(t).
+func NewRequest(p solve.Platform, op Op, n int, deadline platform.Time) (*Request, error) {
 	var buf bytes.Buffer
-	if err := platform.WriteChain(&buf, ch); err != nil {
-		return nil, err
+	var err error
+	switch v := p.(type) {
+	case platform.Chain:
+		err = platform.WriteChain(&buf, v)
+	case platform.Spider:
+		err = platform.WriteSpider(&buf, v)
+	case platform.Fork:
+		err = platform.WriteFork(&buf, v)
+	case platform.Tree:
+		err = platform.WriteTree(&buf, v)
+	default:
+		err = fmt.Errorf("service: unsupported platform type %T", p)
 	}
-	return &Request{Platform: buf.Bytes(), Op: op, N: n, Deadline: deadline}, nil
-}
-
-// NewSpiderRequest builds a /solve request for a spider.
-func NewSpiderRequest(sp platform.Spider, op Op, n int, deadline platform.Time) (*Request, error) {
-	var buf bytes.Buffer
-	if err := platform.WriteSpider(&buf, sp); err != nil {
-		return nil, err
-	}
-	return &Request{Platform: buf.Bytes(), Op: op, N: n, Deadline: deadline}, nil
-}
-
-// NewForkRequest builds a /solve request for a fork.
-func NewForkRequest(f platform.Fork, op Op, n int, deadline platform.Time) (*Request, error) {
-	var buf bytes.Buffer
-	if err := platform.WriteFork(&buf, f); err != nil {
-		return nil, err
-	}
-	return &Request{Platform: buf.Bytes(), Op: op, N: n, Deadline: deadline}, nil
-}
-
-// NewTreeRequest builds a /solve request for a tree. Responses carry
-// schedules expressed on the tree's §8 covering spider (uncovered
-// processors idle), exactly like repro.NewSolver(t).
-func NewTreeRequest(t platform.Tree, op Op, n int, deadline platform.Time) (*Request, error) {
-	var buf bytes.Buffer
-	if err := platform.WriteTree(&buf, t); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &Request{Platform: buf.Bytes(), Op: op, N: n, Deadline: deadline}, nil

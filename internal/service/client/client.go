@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/platform"
 	"repro/internal/service"
 )
 
@@ -94,8 +93,7 @@ type Client struct {
 	// owning shard on the same consistent-hash ring the fleet's routers
 	// use and talks to it directly — no router hop — falling through
 	// ring order when a shard sheds or is unreachable.
-	ring      *cluster.Ring
-	shardBase map[string]string
+	shards *cluster.ShardMap
 
 	attempts  atomic.Int64
 	retries   atomic.Int64
@@ -135,19 +133,11 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 // sharing the client across goroutines; returns the client for
 // chaining.
 func (c *Client) WithShards(shards []string, vnodes int) (*Client, error) {
-	ring := cluster.NewRing(vnodes)
-	bases := make(map[string]string, len(shards))
-	for _, s := range shards {
-		if err := ring.Add(s); err != nil {
-			return nil, fmt.Errorf("client: %w", err)
-		}
-		base := s
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		bases[s] = strings.TrimRight(base, "/")
+	m, err := cluster.NewShardMap(shards, vnodes)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	c.ring, c.shardBase = ring, bases
+	c.shards = m
 	return c, nil
 }
 
@@ -166,19 +156,17 @@ func (c *Client) RetryStats() RetryStats {
 // one (or when the platform does not decode — the server will say why)
 // just the configured base.
 func (c *Client) targets(req *service.Request) []string {
-	if c.ring == nil {
+	if c.shards == nil {
 		return []string{c.base}
 	}
-	dec, err := platform.Decode(req.Platform)
+	members, err := c.shards.Targets(req.Platform)
 	if err != nil {
 		return []string{c.base}
 	}
-	members := c.ring.Owners(dec.Hash(), c.ring.Len())
-	out := make([]string, len(members))
 	for i, m := range members {
-		out[i] = c.shardBase[m]
+		members[i] = c.shards.URL(m)
 	}
-	return out
+	return members
 }
 
 // redirectable reports whether a failed attempt should move to the
@@ -384,57 +372,4 @@ func (c *Client) doOnce(ctx context.Context, base string, payload []byte) (resp 
 		return nil, status, retryAfter, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return &out, status, retryAfter, nil
-}
-
-// MinMakespanSpider asks for the optimal makespan of n tasks on the
-// spider; withSchedule also fetches a schedule achieving it.
-func (c *Client) MinMakespanSpider(ctx context.Context, sp platform.Spider, n int, withSchedule bool) (*service.Response, error) {
-	req, err := service.NewSpiderRequest(sp, service.OpMinMakespan, n, 0)
-	if err != nil {
-		return nil, err
-	}
-	req.IncludeSchedule = withSchedule
-	return c.Do(ctx, req)
-}
-
-// MinMakespanChain is MinMakespanSpider for chains.
-func (c *Client) MinMakespanChain(ctx context.Context, ch platform.Chain, n int, withSchedule bool) (*service.Response, error) {
-	req, err := service.NewChainRequest(ch, service.OpMinMakespan, n, 0)
-	if err != nil {
-		return nil, err
-	}
-	req.IncludeSchedule = withSchedule
-	return c.Do(ctx, req)
-}
-
-// MinMakespanTree asks for the §8 covering heuristic's makespan of n
-// tasks on the tree; withSchedule also fetches a schedule achieving it,
-// expressed on the covering spider.
-func (c *Client) MinMakespanTree(ctx context.Context, t platform.Tree, n int, withSchedule bool) (*service.Response, error) {
-	req, err := service.NewTreeRequest(t, service.OpMinMakespan, n, 0)
-	if err != nil {
-		return nil, err
-	}
-	req.IncludeSchedule = withSchedule
-	return c.Do(ctx, req)
-}
-
-// MaxTasksTree asks how many of at most n tasks the covering heuristic
-// completes on the tree within the deadline.
-func (c *Client) MaxTasksTree(ctx context.Context, t platform.Tree, n int, deadline platform.Time) (*service.Response, error) {
-	req, err := service.NewTreeRequest(t, service.OpMaxTasks, n, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return c.Do(ctx, req)
-}
-
-// MaxTasksSpider asks how many of at most n tasks complete on the
-// spider within the deadline.
-func (c *Client) MaxTasksSpider(ctx context.Context, sp platform.Spider, n int, deadline platform.Time) (*service.Response, error) {
-	req, err := service.NewSpiderRequest(sp, service.OpMaxTasks, n, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return c.Do(ctx, req)
 }

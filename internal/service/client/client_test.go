@@ -12,8 +12,21 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/platform"
 	"repro/internal/service"
+	"repro/internal/solve"
 	"repro/internal/spider"
 )
+
+// mustRequest builds the /solve request for p, failing the test if the
+// platform does not encode.
+func mustRequest(t testing.TB, p solve.Platform, op service.Op, n int, deadline platform.Time, withSchedule bool) *service.Request {
+	t.Helper()
+	req, err := service.NewRequest(p, op, n, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.IncludeSchedule = withSchedule
+	return req
+}
 
 func testServer(t *testing.T, cfg service.Config) (*service.Service, *Client) {
 	t.Helper()
@@ -38,11 +51,11 @@ func TestClientRoundTrip(t *testing.T) {
 	sp := testSpider()
 	n := 15
 
-	cold, err := cl.MinMakespanSpider(ctx, sp, n, true)
+	cold, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cl.MinMakespanSpider(ctx, sp, n, true)
+	warm, err := cl.Do(ctx, mustRequest(t, sp, service.OpMinMakespan, n, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("stats: %+v, want 1 hit, 1 miss, 1 construction", st)
 	}
 
-	mt, err := cl.MaxTasksSpider(ctx, sp, 20, 25)
+	mt, err := cl.Do(ctx, mustRequest(t, sp, service.OpMaxTasks, 20, 25, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +116,12 @@ func TestClientCoalescingOverHTTP(t *testing.T) {
 	var wg sync.WaitGroup
 	resps := make([]*service.Response, m)
 	errs := make([]error, m)
+	req := mustRequest(t, sp, service.OpMinMakespan, 30, 0, true)
 	wg.Add(m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = cl.MinMakespanSpider(ctx, sp, 30, true)
+			resps[i], errs[i] = cl.Do(ctx, req)
 		}(i)
 	}
 	waitForCoalesced(t, svc, m-1)
@@ -203,7 +217,7 @@ func TestClientRetriesTransient(t *testing.T) {
 		MaxBackoff:  5 * time.Millisecond,
 	})
 
-	resp, err := cl.MinMakespanSpider(context.Background(), testSpider(), 10, false)
+	resp, err := cl.Do(context.Background(), mustRequest(t, testSpider(), service.OpMinMakespan, 10, 0, false))
 	if err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -230,7 +244,7 @@ func TestClientRetryBudgetAndGiveUp(t *testing.T) {
 		MaxBackoff:  2 * time.Millisecond,
 	})
 
-	_, err := cl.MinMakespanSpider(context.Background(), testSpider(), 5, false)
+	_, err := cl.Do(context.Background(), mustRequest(t, testSpider(), service.OpMinMakespan, 5, 0, false))
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("err = %v, want give-up after exhausted attempts", err)
 	}

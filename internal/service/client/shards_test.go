@@ -68,7 +68,7 @@ func TestRedirectOn429ToSibling(t *testing.T) {
 
 	sp := spiderOwnedBy(t, ringOf(t, owner.URL, siblingTS.URL), owner.URL)
 	start := time.Now()
-	resp, err := c.MinMakespanSpider(context.Background(), sp, 20, false)
+	resp, err := c.Do(context.Background(), mustRequest(t, sp, service.OpMinMakespan, 20, 0, false))
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRedirectOnTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := spiderOwnedBy(t, ringOf(t, deadURL, siblingTS.URL), deadURL)
-	resp, err := c.MinMakespanSpider(context.Background(), sp, 15, false)
+	resp, err := c.Do(context.Background(), mustRequest(t, sp, service.OpMinMakespan, 15, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFullCycleFallsBackToBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := spiderOwnedBy(t, ringOf(t, a.URL, b.URL), a.URL)
-	_, err = c.MinMakespanSpider(context.Background(), sp, 10, false)
+	_, err = c.Do(context.Background(), mustRequest(t, sp, service.OpMinMakespan, 10, 0, false))
 	if err == nil {
 		t.Fatal("both shards shed every attempt; Do should give up")
 	}
@@ -169,8 +169,7 @@ func TestNoShardMapKeepsSingleBase(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	c := New(ts.URL, nil).WithRetry(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond})
-	resp, err := c.MinMakespanSpider(context.Background(),
-		platform.NewSpider(platform.NewChain(2, 5)), 10, false)
+	resp, err := c.Do(context.Background(), mustRequest(t, platform.NewSpider(platform.NewChain(2, 5)), service.OpMinMakespan, 10, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,4 +192,12 @@ func ringOf(t *testing.T, members ...string) *cluster.Ring {
 		}
 	}
 	return r
+}
+
+// TestWithShardsRejectsEmptyFleet: an empty shard list is an error when
+// the map is armed, not a client whose every Do has no target.
+func TestWithShardsRejectsEmptyFleet(t *testing.T) {
+	if _, err := New("unused", nil).WithShards(nil, testVnodes); err == nil {
+		t.Fatal("WithShards accepted an empty shard list")
+	}
 }

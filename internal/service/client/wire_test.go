@@ -39,10 +39,10 @@ func TestWireBytesMatchEncodingJSON(t *testing.T) {
 	allow := true
 	for i, mk := range []func() (*service.Request, error){
 		func() (*service.Request, error) {
-			return service.NewSpiderRequest(testSpider(), service.OpMinMakespan, 7, 0)
+			return service.NewRequest(testSpider(), service.OpMinMakespan, 7, 0)
 		},
 		func() (*service.Request, error) {
-			r, err := service.NewSpiderRequest(testSpider(), service.OpScheduleWithin, 5, 30)
+			r, err := service.NewRequest(testSpider(), service.OpScheduleWithin, 5, 30)
 			if r != nil {
 				r.IncludeSchedule, r.TimeoutMs, r.AllowDegraded = true, 500, &allow
 			}

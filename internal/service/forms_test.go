@@ -79,10 +79,10 @@ func formCases(t *testing.T) []formCase {
 	fk := platform.NewFork(3, 4, 1, 7, 3, 4, 2, 2, 1, 7)
 	tr := testTree()
 
-	chainBody := envelope(t, func() (*Request, error) { return NewChainRequest(ch, OpMinMakespan, 1, 0) })
-	spiderBody := envelope(t, func() (*Request, error) { return NewSpiderRequest(sp, OpMinMakespan, 1, 0) })
-	forkBody := envelope(t, func() (*Request, error) { return NewForkRequest(fk, OpMinMakespan, 1, 0) })
-	treeBody := envelope(t, func() (*Request, error) { return NewTreeRequest(tr, OpMinMakespan, 1, 0) })
+	chainBody := envelope(t, func() (*Request, error) { return NewRequest(ch, OpMinMakespan, 1, 0) })
+	spiderBody := envelope(t, func() (*Request, error) { return NewRequest(sp, OpMinMakespan, 1, 0) })
+	forkBody := envelope(t, func() (*Request, error) { return NewRequest(fk, OpMinMakespan, 1, 0) })
+	treeBody := envelope(t, func() (*Request, error) { return NewRequest(tr, OpMinMakespan, 1, 0) })
 
 	permSp := permuted(rng, sp)
 	permFk := platform.Fork{Slaves: append([]platform.Node(nil), fk.Slaves...)}
@@ -100,12 +100,12 @@ func formCases(t *testing.T) []formCase {
 	return []formCase{
 		{name: "chain", canon: chainBody, bodies: variants(chainBody), n: 9},
 		{name: "spider", canon: spiderBody, n: 11, bodies: with(variants(spiderBody),
-			envelope(t, func() (*Request, error) { return NewSpiderRequest(permSp, OpMinMakespan, 1, 0) }))},
+			envelope(t, func() (*Request, error) { return NewRequest(permSp, OpMinMakespan, 1, 0) }))},
 		{name: "fork", canon: forkBody, n: 12, bodies: with(variants(forkBody),
-			envelope(t, func() (*Request, error) { return NewForkRequest(permFk, OpMinMakespan, 1, 0) }),
-			envelope(t, func() (*Request, error) { return NewSpiderRequest(fk.Spider(), OpMinMakespan, 1, 0) }))},
+			envelope(t, func() (*Request, error) { return NewRequest(permFk, OpMinMakespan, 1, 0) }),
+			envelope(t, func() (*Request, error) { return NewRequest(fk.Spider(), OpMinMakespan, 1, 0) }))},
 		{name: "tree", canon: treeBody, n: 10, bodies: with(variants(treeBody),
-			envelope(t, func() (*Request, error) { return NewTreeRequest(permuteTree(tr), OpMinMakespan, 1, 0) }))},
+			envelope(t, func() (*Request, error) { return NewRequest(permuteTree(tr), OpMinMakespan, 1, 0) }))},
 	}
 }
 
@@ -239,7 +239,7 @@ func TestFormReuseDifferential(t *testing.T) {
 func TestFormReuseLifecycle(t *testing.T) {
 	ctx := context.Background()
 	sp := testSpider()
-	body := envelope(t, func() (*Request, error) { return NewSpiderRequest(sp, OpMinMakespan, 1, 0) })
+	body := envelope(t, func() (*Request, error) { return NewRequest(sp, OpMinMakespan, 1, 0) })
 	solve := func(svc *Service, b []byte, n int) (*Response, error) {
 		return svc.Solve(ctx, &Request{Platform: b, Op: OpMinMakespan, N: n})
 	}
@@ -298,7 +298,7 @@ func TestFormReuseLifecycle(t *testing.T) {
 
 	t.Run("horizon error text on a hit", func(t *testing.T) {
 		huge := platform.NewChain(1<<50, 1<<50, 1<<50, 1<<50)
-		hb := envelope(t, func() (*Request, error) { return NewChainRequest(huge, OpMinMakespan, 1, 0) })
+		hb := envelope(t, func() (*Request, error) { return NewRequest(huge, OpMinMakespan, 1, 0) })
 		svc := New(Config{})
 		for i := 0; i < 3; i++ {
 			if _, err := solve(svc, hb, 1); err != nil {
@@ -345,7 +345,7 @@ func TestFormReuseLifecycle(t *testing.T) {
 		if formCount(svc) != 1 {
 			t.Fatalf("%d forms, want 1", formCount(svc))
 		}
-		other := envelope(t, func() (*Request, error) { return NewChainRequest(platform.NewChain(1, 1), OpMinMakespan, 1, 0) })
+		other := envelope(t, func() (*Request, error) { return NewRequest(platform.NewChain(1, 1), OpMinMakespan, 1, 0) })
 		if _, err := solve(svc, other, 5); err != nil {
 			t.Fatal(err)
 		}

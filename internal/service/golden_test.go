@@ -51,19 +51,19 @@ func goldenResponses(t testing.TB) map[string]*Response {
 	sp := testSpider()
 	ch := platform.NewChain(2, 5, 3, 3)
 	out := map[string]*Response{
-		"solve": solve(NewSpiderRequest(sp, OpMinMakespan, 7, 0)),
+		"solve": solve(NewRequest(sp, OpMinMakespan, 7, 0)),
 	}
-	out["memo_hit"] = solve(NewSpiderRequest(sp, OpMinMakespan, 7, 0))
+	out["memo_hit"] = solve(NewRequest(sp, OpMinMakespan, 7, 0))
 	if !out["memo_hit"].Meta.Memo {
 		t.Fatal("repeat was not a memo hit")
 	}
-	chReq, err := NewChainRequest(ch, OpMinMakespan, 4, 0)
+	chReq, err := NewRequest(ch, OpMinMakespan, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chReq.IncludeSchedule = true
 	out["chain_schedule"] = solve(chReq, nil)
-	spReq, err := NewSpiderRequest(sp, OpScheduleWithin, 6, 14)
+	spReq, err := NewRequest(sp, OpScheduleWithin, 6, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

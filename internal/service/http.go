@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // maxBodyPresize caps the buffer a /solve body read allocates up front.
@@ -54,12 +55,16 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// errorBody is the JSON error envelope of every non-2xx answer.
-type errorBody struct {
-	Error string `json:"error"`
+// WriteError writes the JSON error envelope of every non-2xx answer,
+// the shard's and the router's alike: {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as an indented JSON body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -100,7 +105,7 @@ func solveStatus(w http.ResponseWriter, err error) int {
 
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST a solve request"})
+		WriteError(w, http.StatusMethodNotAllowed, "POST a solve request")
 		return
 	}
 	if err := s.cfg.Faults.Fire(r.Context(), faultinject.SiteHandler); err != nil {
@@ -109,23 +114,22 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &se) {
 			status = se.Code
 		}
-		writeJSON(w, status, errorBody{Error: err.Error()})
+		WriteError(w, status, err.Error())
 		return
 	}
 	req, err := decodeBody(readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), r.ContentLength, s.cfg.MaxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
+			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	resp, err := s.Solve(r.Context(), &req)
 	if err != nil {
-		writeJSON(w, solveStatus(w, err), errorBody{Error: err.Error()})
+		WriteError(w, solveStatus(w, err), err.Error())
 		return
 	}
 	writeResponse(w, resp)
@@ -174,7 +178,7 @@ type errReader struct{ err error }
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // writeResponse writes a successful /solve answer. An encoding error
-// leaves the body empty, as writeJSON does.
+// leaves the body empty, as WriteJSON does.
 func writeResponse(w http.ResponseWriter, resp *Response) {
 	b, err := AppendResponse(make([]byte, 0, responseSize(resp)), resp)
 	w.Header().Set("Content-Type", "application/json")
@@ -186,10 +190,10 @@ func writeResponse(w http.ResponseWriter, resp *Response) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET the metrics"})
+		WriteError(w, http.StatusMethodNotAllowed, "GET the metrics")
 		return
 	}
-	w.Header().Set("Content-Type", metricsContentType)
+	w.Header().Set("Content-Type", obs.ExpositionContentType)
 	_ = s.m.reg.WritePrometheus(w) // headers are out; nothing to do on error
 }
 
@@ -234,14 +238,14 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if !h.Draining {
 			h.Status = "overloaded"
 		}
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // handleLivez is LIVENESS: 200 for as long as the process can answer
 // at all — draining included; only exit ends it.
 func (s *Service) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }

@@ -8,9 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// metricsContentType is GET /metrics' Content-Type.
-const metricsContentType = obs.ExpositionContentType
-
 // metrics is the service's registry façade. Every aggregate counter the
 // service maintains lives in the obs.Registry — the source of truth
 // behind both GET /metrics and Service.Stats — and the pointers are

@@ -19,7 +19,7 @@ import (
 
 func mustChainRequest(t *testing.T, ch platform.Chain, op Op, n int, deadline platform.Time) *Request {
 	t.Helper()
-	req, err := NewChainRequest(ch, op, n, deadline)
+	req, err := NewRequest(ch, op, n, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +259,9 @@ func TestServiceMetricsHammer(t *testing.T) {
 				var req *Request
 				var err error
 				if g%2 == 0 {
-					req, err = NewSpiderRequest(sp, OpMinMakespan, n, 0)
+					req, err = NewRequest(sp, OpMinMakespan, n, 0)
 				} else {
-					req, err = NewChainRequest(ch, OpMaxTasks, n, platform.Time(100+n))
+					req, err = NewRequest(ch, OpMaxTasks, n, platform.Time(100+n))
 				}
 				if err != nil {
 					t.Error(err)
@@ -278,8 +278,10 @@ func TestServiceMetricsHammer(t *testing.T) {
 
 	e := scrapeMetrics(t, svc.Handler())
 	var total float64
-	for _, s := range e.Find("repro_solve_duration_ns_count") {
-		total += s.Value
+	for _, s := range e.Samples {
+		if s.Name == "repro_solve_duration_ns_count" {
+			total += s.Value
+		}
 	}
 	if want := float64(goroutines * perG); total != want {
 		t.Errorf("histogram counts sum to %v, want %v", total, want)

@@ -80,7 +80,7 @@ func TestRestartDrillSpider(t *testing.T) {
 func TestRestartDrillChain(t *testing.T) {
 	store := mustOpenStore(t)
 	ch := platform.NewChain(2, 5, 3, 3)
-	req, err := NewChainRequest(ch, OpMinMakespan, 30, 0)
+	req, err := NewRequest(ch, OpMinMakespan, 30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRestartDrillTree(t *testing.T) {
 		}},
 		{Comm: 2, Work: 3},
 	}}
-	req, err := NewTreeRequest(tr, OpMinMakespan, 25, 0)
+	req, err := NewRequest(tr, OpMinMakespan, 25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

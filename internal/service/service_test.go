@@ -24,7 +24,7 @@ func testSpider() platform.Spider {
 
 func mustSpiderRequest(t *testing.T, sp platform.Spider, op Op, n int, deadline platform.Time) *Request {
 	t.Helper()
-	req, err := NewSpiderRequest(sp, op, n, deadline)
+	req, err := NewRequest(sp, op, n, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCoalescingExactlyOneConstruction(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := &Request{Op: OpMinMakespan, N: n, IncludeSchedule: true}
-			reqBuilt, err := NewSpiderRequest(sp, OpMinMakespan, n, 0)
+			reqBuilt, err := NewRequest(sp, OpMinMakespan, n, 0)
 			if err != nil {
 				errs[i] = err
 				return
@@ -267,7 +267,7 @@ func TestChainQueries(t *testing.T) {
 	ch := platform.NewChain(2, 3, 3, 5)
 	svc := New(Config{})
 
-	req, err := NewChainRequest(ch, OpMinMakespan, 5, 0)
+	req, err := NewRequest(ch, OpMinMakespan, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestChainQueries(t *testing.T) {
 	}
 
 	// Deadline ops reuse the same warmed plan.
-	dreq, err := NewChainRequest(ch, OpMaxTasks, 9, 14)
+	dreq, err := NewRequest(ch, OpMaxTasks, 9, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestChainAndOneLegSpiderCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	creq, err := NewChainRequest(ch, OpMinMakespan, n, 0)
+	creq, err := NewRequest(ch, OpMinMakespan, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestForkSharesSpiderEntry(t *testing.T) {
 	f := platform.NewFork(1, 3, 2, 2, 3, 1)
 	svc := New(Config{})
 
-	freq, err := NewForkRequest(f, OpMaxTasks, 10, 12)
+	freq, err := NewRequest(f, OpMaxTasks, 10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,11 +541,11 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					req, err = NewSpiderRequest(sp, OpMinMakespan, 1+i%9, 0)
+					req, err = NewRequest(sp, OpMinMakespan, 1+i%9, 0)
 				case 1:
-					req, err = NewSpiderRequest(sp, OpMaxTasks, 10, platform.Time(5+i))
+					req, err = NewRequest(sp, OpMaxTasks, 10, platform.Time(5+i))
 				default:
-					req, err = NewSpiderRequest(sp, OpScheduleWithin, 8, platform.Time(10+i))
+					req, err = NewRequest(sp, OpScheduleWithin, 8, platform.Time(10+i))
 					req.IncludeSchedule = true
 				}
 				if err != nil {

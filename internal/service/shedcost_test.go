@@ -32,18 +32,7 @@ func saturate(t *testing.T, svc *Service) func() {
 // kindRequest builds a /solve request for a platform of any kind.
 func kindRequest(t *testing.T, p solve.Platform, op Op, n int, deadline platform.Time) *Request {
 	t.Helper()
-	var req *Request
-	var err error
-	switch p := p.(type) {
-	case platform.Chain:
-		req, err = NewChainRequest(p, op, n, deadline)
-	case platform.Spider:
-		req, err = NewSpiderRequest(p, op, n, deadline)
-	case platform.Fork:
-		req, err = NewForkRequest(p, op, n, deadline)
-	case platform.Tree:
-		req, err = NewTreeRequest(p, op, n, deadline)
-	}
+	req, err := NewRequest(p, op, n, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

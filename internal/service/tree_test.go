@@ -47,7 +47,7 @@ func permuteTree(t platform.Tree) platform.Tree {
 
 func mustTreeRequest(t *testing.T, tr platform.Tree, op Op, n int, deadline platform.Time) *Request {
 	t.Helper()
-	req, err := NewTreeRequest(tr, op, n, deadline)
+	req, err := NewRequest(tr, op, n, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ var platformSink []byte
 //	go test -run '^$' -bench BenchmarkWire -benchmem ./internal/service
 func BenchmarkWire(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	req, err := NewSpiderRequest(dupSpider(rng, 20, 20), OpMaxTasks, 64, 400)
+	req, err := NewRequest(dupSpider(rng, 20, 20), OpMaxTasks, 64, 400)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkWire(b *testing.B) {
 	})
 	run("shard-encode/codec", func() error { _, err := AppendResponse(buf[:0], resp); return err })
 	run("shard-encode/encoding-json", func() error { _, err := refAppendResponse(resp); return err })
-	wide, err := NewSpiderRequest(dupSpider(rng, 1024, 6), OpMinMakespan, 256, 0)
+	wide, err := NewRequest(dupSpider(rng, 1024, 6), OpMinMakespan, 256, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -120,10 +120,10 @@ func canonicalRequests(t testing.TB) [][]byte {
 	tree := platform.Tree{Roots: []platform.TreeNode{{Comm: 2, Work: 5, Children: []platform.TreeNode{{Comm: 3, Work: 3}}}, {Comm: 4, Work: 1}}}
 	var reqs []*Request
 	for _, mk := range []func() (*Request, error){
-		func() (*Request, error) { return NewChainRequest(platform.NewChain(2, 5, 3, 3), OpMinMakespan, 5, 0) },
-		func() (*Request, error) { return NewSpiderRequest(testSpider(), OpMaxTasks, 9, 20) },
-		func() (*Request, error) { return NewForkRequest(platform.NewFork(2, 5, 1, 4), OpScheduleWithin, 4, 30) },
-		func() (*Request, error) { return NewTreeRequest(tree, OpMinMakespan, 3, 0) },
+		func() (*Request, error) { return NewRequest(platform.NewChain(2, 5, 3, 3), OpMinMakespan, 5, 0) },
+		func() (*Request, error) { return NewRequest(testSpider(), OpMaxTasks, 9, 20) },
+		func() (*Request, error) { return NewRequest(platform.NewFork(2, 5, 1, 4), OpScheduleWithin, 4, 30) },
+		func() (*Request, error) { return NewRequest(tree, OpMinMakespan, 3, 0) },
 	} {
 		r, err := mk()
 		if err != nil {
