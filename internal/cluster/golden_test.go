@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -12,7 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/service"
+	"repro/internal/solve"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the router's golden body files")
@@ -200,4 +204,107 @@ type zeros struct{}
 func (zeros) Read(p []byte) (int, error) {
 	clear(p)
 	return len(p), nil
+}
+
+// TestRouterRendersShardSeriesVerbatim: one series, one rendering. A
+// real service's scrape goes through the router's merge, and every
+// sample line of it, histogram buckets included, comes out of the fleet
+// /metrics byte for byte.
+func TestRouterRendersShardSeriesVerbatim(t *testing.T) {
+	svc := service.New(service.Config{})
+	var scraped []byte
+	tr := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(r.Method, r.URL.Path, r.Body))
+		if r.URL.Path == "/metrics" {
+			scraped = rec.Body.Bytes()
+		}
+		return rec.Result(), nil
+	})
+	rt, err := NewRouter([]string{"shard-a:1"}, 16, &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := platform.Tree{Roots: []platform.TreeNode{{Comm: 2, Work: 5, Children: []platform.TreeNode{{Comm: 3, Work: 3}}}}}
+	sp := platform.NewSpider(platform.NewChain(2, 5, 3, 3), platform.NewChain(1, 4))
+	for _, q := range []struct {
+		p        solve.Platform
+		op       service.Op
+		n        int
+		deadline platform.Time
+	}{
+		{tree, service.OpMinMakespan, 4, 0},
+		{tree, service.OpMinMakespan, 4, 0},
+		{sp, service.OpMaxTasks, 0, 30},
+	} {
+		req, err := service.NewRequest(q.p, q.op, q.n, q.deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := serve(rt, http.MethodPost, "/solve", bytes.NewReader(body)); rec.Code != http.StatusOK {
+			t.Fatalf("solve: %d %s", rec.Code, rec.Body)
+		}
+	}
+	rec := serve(rt, http.MethodGet, "/metrics", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", rec.Code, rec.Body)
+	}
+	merged := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		merged[line] = true
+	}
+	buckets := 0
+	for _, line := range strings.Split(strings.TrimSuffix(string(scraped), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !merged[line] {
+			t.Errorf("shard sample missing from the fleet view: %s", line)
+		}
+		if strings.Contains(line, `_bucket{`) {
+			buckets++
+		}
+	}
+	if buckets == 0 {
+		t.Fatalf("the shard's scrape held no histogram buckets:\n%s", scraped)
+	}
+}
+
+// TestRouterMetricsLabelValueWithBrace: a `}` inside a label value is
+// part of the value. A shard scrape holding one merges into a 200, and
+// the router's own counters for a shard whose name holds one stay in
+// the fleet view.
+func TestRouterMetricsLabelValueWithBrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("x_total", "", "path", "a}b").Add(2)
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	tr := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return textResponse(http.StatusOK, text.String()), nil
+	})
+	const braced = "http://shard-b:2/x}y"
+	rt, err := NewRouter([]string{"shard-a:1", braced}, 16, &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(rt, http.MethodGet, "/metrics", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", rec.Code, rec.Body)
+	}
+	expo, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatalf("merged exposition does not parse: %v", err)
+	}
+	if v, err := expo.Value("x_total", map[string]string{"path": "a}b"}); err != nil || v != 4 {
+		t.Errorf(`x_total{path="a}b"} = %v (err %v), want 4`, v, err)
+	}
+	if _, err := expo.Value("repro_router_forwards_total", map[string]string{"shard": braced}); err != nil {
+		t.Errorf("router counter for shard %q: %v", braced, err)
+	}
 }

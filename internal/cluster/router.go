@@ -22,9 +22,9 @@ const routerMaxBody = 16 << 20
 //	                fingerprint on the consistent-hash ring; transport
 //	                errors fail over to the next member clockwise. The
 //	                answering shard is named in X-Ms-Shard.
-//	GET  /metrics — the fleet's expositions merged: samples with the
-//	                same name and labels are summed, plus the router's
-//	                own forward/failover counters.
+//	GET  /metrics — the router's own counters with every shard's
+//	                scrape summed in, written as a shard writes its
+//	                own: one rendering per series, HELP included.
 //	GET  /healthz — 200 iff every shard's readiness probe is 200, with
 //	                per-shard detail either way.
 //	GET  /shards  — the shard map (members + vnode count), so clients
@@ -195,19 +195,14 @@ func (rt *Router) shardGet(r *http.Request, path string) []shardReply {
 }
 
 // handleMetrics serves the fleet's expositions summed by
-// obs.Exposition.Add: the router's own counters first, then each
-// reachable shard's scrape in member order.
+// obs.Exposition.Add: the snapshot of the router's own registry first,
+// then each reachable shard's scrape in member order.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		service.WriteError(w, http.StatusMethodNotAllowed, "GET the metrics")
 		return
 	}
-	merged := &obs.Exposition{}
-	var own bytes.Buffer
-	_ = rt.reg.WritePrometheus(&own) // a bytes.Buffer write cannot fail
-	if e, err := obs.ParseExposition(&own); err == nil {
-		merged.Add(e) // own registry output is well-formed by construction
-	}
+	merged := rt.reg.Exposition()
 	for _, reply := range rt.shardGet(r, "/metrics") {
 		if reply.err != nil || reply.status != http.StatusOK {
 			continue // the shard is down; /healthz is the place that says so

@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -13,133 +12,59 @@ import (
 // exposition format this package writes.
 const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4): families sorted by name, one
-// HELP/TYPE header per family, instances sorted by label set.
-// Histograms expand into the conventional _bucket/_sum/_count series
-// with cumulative le buckets ending at +Inf.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Exposition snapshots every registered metric: families sorted by
+// name with their HELP text and TYPE, instances sorted by label set.
+// Histograms expand into the conventional _bucket/_sum/_count samples,
+// the buckets cumulative, ending at +Inf, with le among their labels.
+// Samples share the registry's label maps; treat them as read-only.
+func (r *Registry) Exposition() *Exposition {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		f := r.families[name]
+	e := &Exposition{Types: make(map[string]string, len(r.families)), Help: make(map[string]string)}
+	for name, f := range r.families {
+		e.Types[name] = f.typ
 		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(f.help)); err != nil {
-				return err
-			}
+			e.Help[name] = f.help
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, f.typ); err != nil {
-			return err
+	}
+	keys := make([]metricKey, 0, len(r.series))
+	for k := range r.series {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b metricKey) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
 		}
-		var err error
-		switch f.typ {
-		case "counter":
-			err = writeScalarSamples(w, name, instanceLabels(r.counters, name), func(k metricKey) string {
-				return strconv.FormatInt(r.counters[k].Value(), 10)
-			})
-		case "gauge":
-			merged := append(instanceLabels(r.gauges, name), instanceLabels(r.gaugeFuncs, name)...)
-			sort.Strings(merged)
-			merged = slices.Compact(merged)
-			err = writeScalarSamples(w, name, merged, func(k metricKey) string {
-				if fn, ok := r.gaugeFuncs[k]; ok {
-					return strconv.FormatInt(fn(), 10)
+		return strings.Compare(a.labels, b.labels)
+	})
+	for _, k := range keys {
+		s := r.series[k]
+		sample := func(suffix string, labels map[string]string, v float64) {
+			e.Samples = append(e.Samples, Sample{Name: k.name + suffix, Labels: labels, Value: v})
+		}
+		switch v := s.value.(type) {
+		case interface{ Value() int64 }: // *Counter, *Gauge
+			sample("", s.labels, float64(v.Value()))
+		case func() int64:
+			sample("", s.labels, float64(v()))
+		case *Histogram:
+			snap := v.Snapshot()
+			for i, c := range snap.Cumulative {
+				le := "+Inf"
+				if i < len(snap.Bounds) {
+					le = strconv.FormatInt(snap.Bounds[i], 10)
 				}
-				return strconv.FormatInt(r.gauges[k].Value(), 10)
-			})
-		case "histogram":
-			err = r.writeHistogramSamples(w, name)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// instanceLabels collects the sorted label strings of one family's
-// instances in m.
-func instanceLabels[V any](m map[metricKey]V, name string) []string {
-	var out []string
-	for k := range m {
-		if k.name == name {
-			out = append(out, k.labels)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// writeScalarSamples emits one sample line per instance.
-func writeScalarSamples(w io.Writer, name string, labels []string, value func(metricKey) string) error {
-	for _, ls := range labels {
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", name, braced(ls), value(metricKey{name: name, labels: ls})); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHistogramSamples emits the _bucket/_sum/_count expansion of
-// every instance of the family.
-func (r *Registry) writeHistogramSamples(w io.Writer, name string) error {
-	for _, ls := range instanceLabels(r.hists, name) {
-		s := r.hists[metricKey{name: name, labels: ls}].Snapshot()
-		for i, bound := range s.Bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				name, braced(withLabel(ls, "le", formatBound(bound))), s.Cumulative[i]); err != nil {
-				return err
+				labels := maps.Clone(s.labels)
+				labels["le"] = le
+				sample("_bucket", labels, float64(c))
 			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, braced(withLabel(ls, "le", "+Inf")), s.Cumulative[len(s.Cumulative)-1]); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", name, braced(ls), s.Sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braced(ls), s.Cumulative[len(s.Cumulative)-1]); err != nil {
-			return err
+			sample("_sum", s.labels, float64(snap.Sum))
+			sample("_count", s.labels, float64(snap.Cumulative[len(snap.Cumulative)-1]))
 		}
 	}
-	return nil
+	return e
 }
 
-// braced wraps a rendered label set in {}; empty label sets render as
-// nothing.
-func braced(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "}"
-}
-
-// withLabel appends one more label to a rendered label set. le sorts
-// after every label the registry uses on histograms (cache, kind, op),
-// and appending keeps the instance's own labels in their canonical
-// order either way.
-func withLabel(labels, name, value string) string {
-	pair := name + `="` + escapeLabel(value) + `"`
-	if labels == "" {
-		return pair
-	}
-	return labels + "," + pair
-}
-
-// formatBound renders a bucket bound (ns) as the le label value.
-func formatBound(b int64) string { return strconv.FormatInt(b, 10) }
-
-// escapeHelp escapes a HELP text: backslash and newline only (quotes
-// are legal in help text).
-func escapeHelp(h string) string {
-	h = strings.ReplaceAll(h, `\`, `\\`)
-	h = strings.ReplaceAll(h, "\n", `\n`)
-	return h
-}
+// WritePrometheus writes the registry's Exposition in the Prometheus
+// text exposition format (version 0.0.4).
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.Exposition().Write(w) }

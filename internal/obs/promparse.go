@@ -8,12 +8,13 @@ import (
 	"strings"
 )
 
-// This file is a minimal validating parser for the Prometheus text
-// exposition format — enough to assert that what WritePrometheus (and
-// hence the service's /metrics endpoint) emits is well-formed, to let
-// tests look up individual sample values, and to sum a fleet's scrapes
-// into one (Exposition.Add, Exposition.Write), which the router's
-// /metrics serves.
+// This file holds the one model of a scrape, Exposition, and its one
+// writer, Exposition.Write: a shard's /metrics writes its registry's
+// Exposition, and the router's /metrics writes its own registry's
+// Exposition with every shard's scrape summed in (Exposition.Add), so
+// one series renders the same bytes on both. ParseExposition is a
+// minimal validating parser for the text format, enough to read a
+// shard's scrape back and to let tests look up sample values.
 
 // Sample is one parsed exposition line: a metric instance and its value.
 type Sample struct {
@@ -29,6 +30,8 @@ type Exposition struct {
 	Samples []Sample
 	// Types maps family name to the declared TYPE.
 	Types map[string]string
+	// Help maps family name to its HELP text, unescaped.
+	Help map[string]string
 }
 
 // Value returns the single sample with the given name whose labels all
@@ -59,16 +62,10 @@ next:
 // kept. Summing is the fleet total for every type: counters add, gauges
 // (entries, in-flight, queue depths) add, and histogram buckets add
 // bucket-wise because every shard emits the same bounds. A family keeps
-// the TYPE it had first.
+// the TYPE and the HELP it had first.
 func (e *Exposition) Add(o *Exposition) {
-	if e.Types == nil {
-		e.Types = make(map[string]string, len(o.Types))
-	}
-	for name, typ := range o.Types {
-		if _, ok := e.Types[name]; !ok {
-			e.Types[name] = typ
-		}
-	}
+	e.Types = keepFirst(e.Types, o.Types)
+	e.Help = keepFirst(e.Help, o.Help)
 	at := make(map[string]int, len(e.Samples)+len(o.Samples))
 	for i, s := range e.Samples {
 		at[s.Name+braced(labelString(s.Labels, ""))] = i
@@ -84,10 +81,22 @@ func (e *Exposition) Add(o *Exposition) {
 	}
 }
 
+// keepFirst adds to dst every entry of src whose key it lacks.
+func keepFirst(dst, src map[string]string) map[string]string {
+	if dst == nil {
+		dst = make(map[string]string, len(src))
+	}
+	for k, v := range src {
+		if _, ok := dst[k]; !ok {
+			dst[k] = v
+		}
+	}
+	return dst
+}
+
 // Write renders e in the text format: families in the order of their
-// first sample, each under one TYPE line and holding its samples in
-// order, labels rendered as the registry renders them. HELP lines are
-// not kept.
+// first sample, each under its HELP (if any) and TYPE lines and holding
+// its samples in order, labels sorted by name.
 func (e *Exposition) Write(w io.Writer) error {
 	var fams []string
 	byFam := make(map[string][]Sample)
@@ -103,6 +112,9 @@ func (e *Exposition) Write(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	for _, fam := range fams {
+		if help := e.Help[fam]; help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", fam, escapeHelp.Replace(help))
+		}
 		if typ := e.Types[fam]; typ != "" {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", fam, typ)
 		}
@@ -112,6 +124,22 @@ func (e *Exposition) Write(w io.Writer) error {
 	}
 	return bw.Flush()
 }
+
+// braced wraps a rendered label set in {}; empty label sets render as
+// nothing.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
+}
+
+// escapeHelp escapes a HELP text: backslash and newline only (quotes
+// are legal in help text); unescapeHelp undoes it.
+var (
+	escapeHelp   = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	unescapeHelp = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+)
 
 // formatValue writes integral values as integers and any other as the
 // shortest float that parses back to it.
@@ -124,12 +152,13 @@ func formatValue(v float64) string {
 
 // ParseExposition parses and validates a text-format scrape: every
 // non-comment line must be `name[{labels}] value`, names and labels
-// must be well-formed, TYPE declarations must precede their samples,
-// and histogram bucket series must be cumulative with a trailing +Inf
-// bucket matching _count. It returns the parsed samples, or the first
-// format violation.
+// must be well-formed, a family has at most one HELP and one TYPE line,
+// TYPE declarations must precede their samples, and histogram bucket
+// series must be cumulative with a trailing +Inf bucket matching
+// _count. It returns the parsed samples, HELP texts and TYPEs, or the
+// first format violation.
 func ParseExposition(r io.Reader) (*Exposition, error) {
-	e := &Exposition{Types: make(map[string]string)}
+	e := &Exposition{Types: make(map[string]string), Help: make(map[string]string)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -137,6 +166,17 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 		lineNo++
 		line := sc.Text()
 		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		if help, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(help, " ")
+			if !metricName.MatchString(name) {
+				return nil, fmt.Errorf("obs: line %d: invalid family name %q", lineNo, name)
+			}
+			if _, dup := e.Help[name]; dup {
+				return nil, fmt.Errorf("obs: line %d: duplicate HELP for %q", lineNo, name)
+			}
+			e.Help[name] = unescapeHelp.Replace(text)
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -191,30 +231,20 @@ func familyOf(name string, types map[string]string) string {
 // parseSampleLine parses `name[{labels}] value`.
 func parseSampleLine(line string) (Sample, error) {
 	s := Sample{Labels: map[string]string{}}
-	rest := line
-	brace := strings.IndexByte(rest, '{')
-	var nameEnd int
-	if brace >= 0 {
-		nameEnd = brace
-	} else if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		nameEnd = sp
-	} else {
+	nameEnd := strings.IndexAny(line, "{ ")
+	if nameEnd < 0 {
 		return s, fmt.Errorf("no value on sample line %q", line)
 	}
-	s.Name = rest[:nameEnd]
+	s.Name = line[:nameEnd]
 	if !metricName.MatchString(s.Name) {
 		return s, fmt.Errorf("invalid sample name %q", s.Name)
 	}
-	rest = rest[nameEnd:]
-	if brace >= 0 {
-		end := strings.IndexByte(rest, '}')
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
+	rest := line[nameEnd:]
+	if line[nameEnd] == '{' {
+		var err error
+		if rest, err = parseLabels(rest[1:], s.Labels); err != nil {
+			return s, fmt.Errorf("%w in %q", err, line)
 		}
-		if err := parseLabels(rest[1:end], s.Labels); err != nil {
-			return s, err
-		}
-		rest = rest[end+1:]
 	}
 	rest = strings.TrimLeft(rest, " ")
 	// A timestamp may follow the value; the registry never writes one,
@@ -227,20 +257,28 @@ func parseSampleLine(line string) (Sample, error) {
 	return s, nil
 }
 
-// parseLabels parses `k="v",k2="v2"` into out.
-func parseLabels(in string, out map[string]string) error {
-	for len(in) > 0 {
+// parseLabels parses `k="v",k2="v2"}` into out: the label set up to
+// its closing brace, which it looks for outside the quoted values. It
+// returns what follows the brace.
+func parseLabels(in string, out map[string]string) (string, error) {
+	for {
+		if in == "" {
+			return "", fmt.Errorf("unterminated label set")
+		}
+		if in[0] == '}' {
+			return in[1:], nil
+		}
 		eq := strings.IndexByte(in, '=')
 		if eq < 0 {
-			return fmt.Errorf("label without value in %q", in)
+			return "", fmt.Errorf("label without value")
 		}
 		name := in[:eq]
 		if !labelName.MatchString(name) && name != "le" {
-			return fmt.Errorf("invalid label name %q", name)
+			return "", fmt.Errorf("invalid label name %q", name)
 		}
 		in = in[eq+1:]
 		if len(in) == 0 || in[0] != '"' {
-			return fmt.Errorf("unquoted label value for %q", name)
+			return "", fmt.Errorf("unquoted label value for %q", name)
 		}
 		in = in[1:]
 		var sb strings.Builder
@@ -249,7 +287,7 @@ func parseLabels(in string, out map[string]string) error {
 			c := in[i]
 			if c == '\\' {
 				if i+1 >= len(in) {
-					return fmt.Errorf("dangling escape in label %q", name)
+					return "", fmt.Errorf("dangling escape in label %q", name)
 				}
 				i++
 				switch in[i] {
@@ -260,7 +298,7 @@ func parseLabels(in string, out map[string]string) error {
 				case 'n':
 					sb.WriteByte('\n')
 				default:
-					return fmt.Errorf("invalid escape \\%c in label %q", in[i], name)
+					return "", fmt.Errorf("invalid escape \\%c in label %q", in[i], name)
 				}
 				continue
 			}
@@ -272,15 +310,14 @@ func parseLabels(in string, out map[string]string) error {
 			sb.WriteByte(c)
 		}
 		if !closed {
-			return fmt.Errorf("unterminated value for label %q", name)
+			return "", fmt.Errorf("unterminated value for label %q", name)
 		}
 		if _, dup := out[name]; dup {
-			return fmt.Errorf("duplicate label %q", name)
+			return "", fmt.Errorf("duplicate label %q", name)
 		}
 		out[name] = sb.String()
 		in = strings.TrimPrefix(in, ",")
 	}
-	return nil
 }
 
 // checkHistograms validates every histogram family: per instance the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,50 @@ func TestParseNonFiniteValues(t *testing.T) {
 	}
 }
 
+// TestLabelValueWithBrace: a `}` inside a quoted label value does not
+// end the label set, and a label set without its closing brace is
+// still rejected.
+func TestLabelValueWithBrace(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", "", "shard", "a}b").Add(2)
+	r.Histogram("lat_ns", "", "op", "{}}").Observe(5)
+	e := scrape(t, r)
+	if v, err := e.Value("x_total", map[string]string{"shard": "a}b"}); err != nil || v != 2 {
+		t.Errorf(`x_total{shard="a}b"} = %v (err %v), want 2`, v, err)
+	}
+	if v, err := e.Value("lat_ns_count", map[string]string{"op": "{}}"}); err != nil || v != 1 {
+		t.Errorf(`lat_ns_count{op="{}}"} = %v (err %v), want 1`, v, err)
+	}
+	if _, err := ParseExposition(strings.NewReader("# TYPE x_total counter\nx_total{shard=\"a}b\" 1\n")); err == nil {
+		t.Error("a label set without its closing brace parsed")
+	}
+}
+
+// TestHelpRoundTrip: HELP text comes back from a scrape unescaped, and
+// Add keeps a family's first HELP.
+func TestHelpRoundTrip(t *testing.T) {
+	e := scrape(t, goldenRegistry())
+	if got, want := e.Help["repro_service_hits_total"], "warm hits \\ cold hits\nsecond line"; got != want {
+		t.Errorf("HELP = %q, want %q", got, want)
+	}
+	merged := &Exposition{}
+	merged.Add(mustParse(t, "# HELP x_total first\n# TYPE x_total counter\nx_total 1\n"))
+	merged.Add(mustParse(t, "# HELP x_total second\n# TYPE x_total counter\nx_total 2\n"))
+	if got, want := written(t, merged), "# HELP x_total first\n# TYPE x_total counter\nx_total 3\n"; got != want {
+		t.Errorf("merged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExpositionMatchesItsText: a registry's Exposition is exactly what
+// parsing its written text gives back, so the router's snapshot of its
+// own registry and a shard's scrape hold the same samples.
+func TestExpositionMatchesItsText(t *testing.T) {
+	r := goldenRegistry()
+	if got, want := r.Exposition(), scrape(t, r); !reflect.DeepEqual(got, want) {
+		t.Errorf("Exposition() = %+v\nparsed text = %+v", got, want)
+	}
+}
+
 // FuzzParseExposition: parsing never panics, and every exposition that
 // parses is a fixed point of Write after one round:
 // write(parse(write(e))) == write(e).
@@ -125,6 +170,12 @@ func FuzzParseExposition(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.String())
+	seed.Reset()
+	if err := goldenRegistry().WritePrometheus(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Add("# HELP x_total a \\\\ b\\nc \\q\n# TYPE x_total counter\nx_total{shard=\"a}b\",path=\"{\\\"}\\n\"} 1\n")
 	f.Add("# TYPE g gauge\ng 0.25\ng{a=\"x\"} 1e300\ng{a=\"y\"} NaN\n")
 	f.Add("# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n")
 	f.Fuzz(func(t *testing.T, text string) {

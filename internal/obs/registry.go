@@ -53,10 +53,16 @@ type metricKey struct {
 	labels string
 }
 
+// series is one registered metric instance: its label set and its
+// value holder, a *Counter, *Gauge, func() int64 or *Histogram.
+type series struct {
+	labels map[string]string
+	value  any
+}
+
 // family is one exported metric family: every instance shares the name,
 // help text and value type.
 type family struct {
-	name string
 	help string
 	typ  string // "counter" | "gauge" | "histogram"
 }
@@ -68,28 +74,21 @@ type family struct {
 // metrics once and keep the pointers. Mixing value types under one name
 // panics (a metric family has exactly one type).
 type Registry struct {
-	mu         sync.RWMutex
-	families   map[string]*family
-	counters   map[metricKey]*Counter
-	gauges     map[metricKey]*Gauge
-	gaugeFuncs map[metricKey]func() int64
-	hists      map[metricKey]*Histogram
+	mu       sync.RWMutex
+	families map[string]*family
+	series   map[metricKey]*series
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families:   make(map[string]*family),
-		counters:   make(map[metricKey]*Counter),
-		gauges:     make(map[metricKey]*Gauge),
-		gaugeFuncs: make(map[metricKey]func() int64),
-		hists:      make(map[metricKey]*Histogram),
-	}
+	return &Registry{families: make(map[string]*family), series: make(map[metricKey]*series)}
 }
 
-// key canonicalises the label pairs and registers the family, enforcing
-// name/label validity and per-family type consistency.
-func (r *Registry) key(name, help, typ string, labelPairs []string) metricKey {
+// lookup returns the instance for (name, labels), creating it with no
+// value on first use. It canonicalises the label pairs and registers
+// the family, enforcing name/label validity and per-family type
+// consistency.
+func (r *Registry) lookup(name, help, typ string, labelPairs []string) *series {
 	if !metricName.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -111,9 +110,15 @@ func (r *Registry) key(name, help, typ string, labelPairs []string) metricKey {
 			f.help = help
 		}
 	} else {
-		r.families[name] = &family{name: name, help: help, typ: typ}
+		r.families[name] = &family{help: help, typ: typ}
 	}
-	return metricKey{name: name, labels: labelString(labels, "")}
+	k := metricKey{name: name, labels: labelString(labels, "")}
+	s, ok := r.series[k]
+	if !ok {
+		s = &series{labels: labels}
+		r.series[k] = s
+	}
+	return s
 }
 
 // escapeLabel escapes a label value per the text exposition format:
@@ -156,25 +161,26 @@ func labelString(labels map[string]string, drop string) string {
 func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := r.key(name, help, "counter", labelPairs)
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
+	s := r.lookup(name, help, "counter", labelPairs)
+	if s.value == nil {
+		s.value = &Counter{}
 	}
-	return c
+	return s.value.(*Counter)
 }
 
 // Gauge returns the gauge instance for (name, labels), creating it on
-// first use.
+// first use. On a series a GaugeFunc computes, the gauge returned is
+// not exported: the function wins.
 func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := r.key(name, help, "gauge", labelPairs)
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
+	s := r.lookup(name, help, "gauge", labelPairs)
+	if g, ok := s.value.(*Gauge); ok {
+		return g
+	}
+	g := &Gauge{}
+	if s.value == nil {
+		s.value = g
 	}
 	return g
 }
@@ -182,12 +188,12 @@ func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 // GaugeFunc registers a gauge whose value is computed at scrape time —
 // uptime, cache entry counts and other values that already live
 // elsewhere. Re-registering the same (name, labels) replaces the
-// function. fn must be safe to call concurrently with anything.
+// function, and a function replaces a Gauge on the same series. fn
+// must be safe to call concurrently with anything.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labelPairs ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := r.key(name, help, "gauge", labelPairs)
-	r.gaugeFuncs[k] = fn
+	r.lookup(name, help, "gauge", labelPairs).value = fn
 }
 
 // Histogram returns the histogram instance for (name, labels), creating
@@ -195,11 +201,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labelPairs ...s
 func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := r.key(name, help, "histogram", labelPairs)
-	h, ok := r.hists[k]
-	if !ok {
-		h = NewHistogram(nil)
-		r.hists[k] = h
+	s := r.lookup(name, help, "histogram", labelPairs)
+	if s.value == nil {
+		s.value = NewHistogram(nil)
 	}
-	return h
+	return s.value.(*Histogram)
 }

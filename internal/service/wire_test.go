@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -371,6 +372,44 @@ func FuzzRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkRequest(t, b)
+	})
+}
+
+// FuzzParseRequest runs body bytes through what a shard does before it
+// solves: DecodeRequest, then Service.parse. A body is either refused
+// with an error that answers 400, or parsed into a query that passes
+// every check parse makes: a known op, a task count that is
+// non-negative (positive for min_makespan) and within MaxN, a
+// non-negative deadline where the op reads one, and a platform whose
+// time horizon holds that many tasks. Never a panic.
+func FuzzParseRequest(f *testing.F) {
+	for _, b := range canonicalRequests(f) {
+		f.Add(b)
+	}
+	for _, in := range offGrammarRequests {
+		f.Add([]byte(in))
+	}
+	s := New(Config{MaxN: 64})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := DecodeRequest(b)
+		if err == nil {
+			var q *query
+			if q, err = s.parse(&req); err == nil {
+				switch {
+				case !req.Op.valid(), req.N < 0, req.N > s.cfg.MaxN,
+					req.Op == OpMinMakespan && req.N < 1,
+					req.Op.needsDeadline() && req.Deadline < 0:
+					t.Fatalf("parse accepted %q: %+v", b, req)
+				}
+				if err := q.p.CheckHorizon(max(req.N, 1)); err != nil {
+					t.Fatalf("parse accepted %q past its horizon: %v", b, err)
+				}
+				return
+			}
+		}
+		if status := solveStatus(httptest.NewRecorder(), err); status != http.StatusBadRequest {
+			t.Fatalf("%q: error %v answers %d, want 400", b, err, status)
+		}
 	})
 }
 
