@@ -1,6 +1,6 @@
 // Benchmarks regenerating the performance-shaped claims of the paper and
-// the reproduction's own tables (DESIGN.md §5). One benchmark (family)
-// per experiment:
+// the reproduction's own tables (the experiments registry, listed by
+// `msbench -list`). One benchmark (family) per experiment:
 //
 //	E1  BenchmarkFig2Chain          — the worked example end to end
 //	E4  BenchmarkChainVsBrute       — algorithm vs exhaustive oracle cost

@@ -1,5 +1,6 @@
 // Command msbench runs the reproduction experiment suite: every figure
-// and validated claim of the paper (DESIGN.md §5, EXPERIMENTS.md).
+// and validated claim of the paper, one registered experiment each
+// (msbench -list prints the registry).
 //
 // Usage:
 //
@@ -7,22 +8,23 @@
 //	msbench -run E1,E4      # selected experiments
 //	msbench -list           # list experiments
 //	msbench -csv dir/       # also dump each table as CSV under dir/
-//	msbench -json file      # dump the E5/E5c/E5w-wide/E5p-loop/E6-cold regression baseline as JSON
+//	msbench -json file      # dump the timing ledger of the hot-path cells as JSON
 //	msbench -cpuprofile f   # profile the run's CPU (any mode)
 //	msbench -memprofile f   # dump a heap profile at exit (any mode)
 //
-// The -json dump measures the hot-path families (chain and spider
-// solvers, the wide-platform packing, the warm probe loop and the
-// E6-cold construction cells) with a calibration workload and writes a
-// machine-portable baseline. The committed BENCH_seed.json is a static
-// file: it froze the pre-optimisation numbers, taken with solver paths
-// that have since moved into test code, and the regression test in
-// this package flags >20% slowdowns against it. Spider-family points
-// carry probes_per_solve — the deadline-search telemetry of one cold
-// solve — and most cells carry phase_ns, the phase-by-phase wall-time
+// The -json dump is the timing ledger: the hot-path cells of the chain
+// and spider solvers, the wide-platform packing, the warm probe loop,
+// the E6-cold construction cells and the service, each declared once in
+// the experiments package and timed as the minimum over repetitions.
+// Spider cells carry probes_per_solve, the packing probes of one cold
+// solve, and most cells carry phase_ns, the phase-by-phase wall-time
 // breakdown (construct/dedup/merge/pack/extract) of one extra traced
-// run taken outside the timed reps, per operation like ns_per_op; both
-// are context the comparison ignores.
+// run taken outside the timed reps, per operation like ns_per_op.
+// BENCH_current.json at the repo root is such a dump; BENCH_seed.json
+// keeps the seed-era timings, taken with solver paths that have since
+// moved into test code, as history. No test compares timings: the
+// experiments package's TestOfferCountsPinned pins each cell's work
+// counters, which do not move with the host.
 package main
 
 import (
@@ -52,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV under this directory")
-		jsonPath   = fs.String("json", "", "measure the E5/E5c/E5w-wide/E5p-loop/E6-cold regression families and write the baseline JSON here")
+		jsonPath   = fs.String("json", "", "time the hot-path cells and write the timing ledger JSON here")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this file")
 	)
@@ -61,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Profiling wraps whatever the invocation does — the experiment
-	// suite or the -json families — so hot-path investigations profile
+	// suite or the -json cells — so hot-path investigations profile
 	// exactly the workload they will be judged by.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

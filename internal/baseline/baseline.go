@@ -1,6 +1,6 @@
 // Package baseline provides the practical scheduling heuristics and the
 // relaxation bounds that the paper's optimal algorithms are measured
-// against in the reproduction experiments (DESIGN.md E8/E9).
+// against in the reproduction experiments E8 and E9 (`msbench -list`).
 //
 // The heuristics are forward, online-style policies:
 //

@@ -90,7 +90,7 @@ func runColdConstruction() (*Report, error) {
 
 			// The warm yardstick: the whole deadline walk, not per probe,
 			// on an already-warm solver (plans grown).
-			warm, err := timeWarmWalk(sp, n, cold.mk)
+			warm, err := timeWarmWalk(sp, n)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
 // Package experiments is the reproduction harness: every figure and
 // every provable claim of the paper is regenerated by a registered
 // experiment that produces human-readable tables (and, where
-// appropriate, Gantt charts). The experiment IDs follow the index in
-// DESIGN.md §5; EXPERIMENTS.md records their reference output.
+// appropriate, Gantt charts). Each experiment registers itself under
+// an ID (E1, E5c, ...); All lists the registry and `msbench -list`
+// prints it.
 package experiments
 
 import (
@@ -115,7 +116,7 @@ func (r *Report) Format() string {
 
 // Experiment reproduces one paper artefact.
 type Experiment struct {
-	ID    string // index in DESIGN.md §5, e.g. "E1"
+	ID    string // registry key, as `msbench -list` prints it, e.g. "E1"
 	Name  string
 	Paper string // the artefact reproduced, e.g. "Fig. 2"
 	Run   func() (*Report, error)

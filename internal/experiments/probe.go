@@ -33,11 +33,10 @@ func wideSpider(legs int) platform.Spider {
 }
 
 // coldRun is one cold MinMakespan — construction included — on fresh
-// solvers: the best of three timings, the makespan, and the last rep's
-// leg plans owned and telemetry.
+// solvers: the best of three timings, and the last rep's leg plans
+// owned and telemetry.
 type coldRun struct {
 	best  time.Duration
-	mk    platform.Time
 	plans int
 	stats spider.ProbeStats
 }
@@ -51,14 +50,13 @@ func timeColdSolve(sp platform.Spider, n int) (coldRun, error) {
 			return coldRun{}, err
 		}
 		start := time.Now()
-		m, _, err := s.MinMakespan(n)
-		if err != nil {
+		if _, _, err := s.MinMakespan(n); err != nil {
 			return coldRun{}, err
 		}
 		if d := time.Since(start); d < run.best {
 			run.best = d
 		}
-		run.mk, run.plans, run.stats = m, s.DistinctLegPlans(), s.Stats()
+		run.plans, run.stats = s.DistinctLegPlans(), s.Stats()
 	}
 	return run, nil
 }
@@ -92,35 +90,49 @@ type walkRun struct {
 	constructed int64
 }
 
-// timeWarmWalk warms a solver with one MinMakespan (plans grown, packer
-// pooled), then replays probeWalk(opt) on it, best of five.
-func timeWarmWalk(sp platform.Spider, n int, opt platform.Time) (walkRun, error) {
-	const reps = 5
+// warmWalk returns a solver warmed by one min-makespan of n tasks on sp
+// (plans grown, packer pooled) and the probeWalk around its optimum.
+func warmWalk(sp platform.Spider, n int) (*spider.Solver, []platform.Time, error) {
 	s, err := spider.NewSolver(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	mk, _, err := s.MinMakespan(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, probeWalk(mk), nil
+}
+
+// runWalk asks max_tasks of n tasks at every deadline of the walk.
+func runWalk(s *spider.Solver, n int, walk []platform.Time) error {
+	for _, dl := range walk {
+		if _, err := s.MaxTasks(n, dl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// timeWarmWalk replays the probe walk on a warmed solver, best of five.
+func timeWarmWalk(sp platform.Spider, n int) (walkRun, error) {
+	const reps = 5
+	s, walk, err := warmWalk(sp, n)
 	if err != nil {
 		return walkRun{}, err
 	}
-	if _, _, err := s.MinMakespan(n); err != nil {
+	before := s.Stats()
+	best, err := minTime(reps, func() error { return runWalk(s, n, walk) })
+	if err != nil {
 		return walkRun{}, err
 	}
-	walk := probeWalk(opt)
-	run := walkRun{best: time.Duration(1<<63 - 1), probes: len(walk)}
-	before := s.Stats()
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		for _, d := range walk {
-			if _, err := s.MaxTasks(n, d); err != nil {
-				return walkRun{}, err
-			}
-		}
-		if d := time.Since(start); d < run.best {
-			run.best = d
-		}
-	}
 	after := s.Stats()
-	run.offered = (after.Offered - before.Offered) / int64(reps*len(walk))
-	run.constructed = after.Constructed - before.Constructed
-	return run, nil
+	return walkRun{
+		best:        best,
+		probes:      len(walk),
+		offered:     (after.Offered - before.Offered) / int64(reps*len(walk)),
+		constructed: after.Constructed - before.Constructed,
+	}, nil
 }
 
 // runCeilingPacking is the E5p experiment: the probe's cost and work on
@@ -155,7 +167,7 @@ func runCeilingPacking() (*Report, error) {
 		}
 		solves.AddRow(legs, n, cold.best.Round(time.Microsecond), st.Probes, st.PackProbes, st.Offered, bound)
 
-		warm, err := timeWarmWalk(sp, n, cold.mk)
+		warm, err := timeWarmWalk(sp, n)
 		if err != nil {
 			return nil, err
 		}

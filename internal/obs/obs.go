@@ -48,8 +48,9 @@ const (
 	// PhaseConstruct is backward plan construction: core.Incremental
 	// growth (the §3 placements), and for trees the §8 cover extraction.
 	PhaseConstruct Phase = iota
-	// PhaseDedup is plan set-up in the spider solver: computing
-	// platform.LegKey fingerprints and sharing isomorphic legs' plans.
+	// PhaseDedup is once-per-solver set-up in the spider solver:
+	// computing platform.LegKey fingerprints, sharing isomorphic legs'
+	// plans, and the steady-state seed of the first MinMakespan.
 	PhaseDedup
 	// PhaseMerge is candidate-stream counting: the fit-count sums the
 	// deadline search's seeding reads (a binary search over cached

@@ -6,7 +6,7 @@ import (
 )
 
 // Heterogeneity selects the statistical regime a random instance is drawn
-// from. The regimes match the sweeps of experiment E8 (DESIGN.md §5):
+// from. The regimes match the sweeps of experiment E8 (`msbench -list`):
 // the paper's algorithm pays off most when resources differ wildly and
 // communication is scarce, so the generator can steer both axes.
 type Heterogeneity int

@@ -1,8 +1,9 @@
 package platform
 
 import (
+	"cmp"
 	"math/big"
-	"sort"
+	"slices"
 )
 
 // This file gives every platform kind the uniform method set the public
@@ -68,50 +69,22 @@ func (ch Chain) Throughput() (*big.Rat, error) {
 }
 
 // Throughput returns the exact steady-state throughput of the spider:
-// legs are saturated in ascending first-link latency (the
-// bandwidth-centric allocation of [2]) under the master's one-port
-// budget Σ_b r_b·c_{b,1} ≤ 1 with r_b ≤ leg b's chain rate. The greedy
-// is optimal because it is a fractional knapsack: ascending c_{b,1} is
-// ascending port-time cost per unit of throughput.
+// the one-port knapsack (portKnapsack) over its legs, each priced by
+// its first-link latency and capped at its chain rate. This is the
+// bandwidth-centric allocation of [2].
 func (sp Spider) Throughput() (*big.Rat, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	type legRate struct {
-		c1   int64
-		rate *big.Rat
-	}
-	legs := make([]legRate, 0, sp.NumLegs())
+	items := make([]rateItem, 0, sp.NumLegs())
 	for _, leg := range sp.Legs {
 		r, err := leg.Throughput()
 		if err != nil {
 			return nil, err
 		}
-		legs = append(legs, legRate{c1: int64(leg.Comm(1)), rate: r})
+		items = append(items, rateItem{c: int64(leg.Comm(1)), rate: r})
 	}
-	// Insertion sort by ascending c1 (legs are few).
-	for i := 1; i < len(legs); i++ {
-		for j := i; j > 0 && legs[j].c1 < legs[j-1].c1; j-- {
-			legs[j], legs[j-1] = legs[j-1], legs[j]
-		}
-	}
-	total := new(big.Rat)
-	budget := new(big.Rat).SetInt64(1) // fraction of port time left
-	for _, l := range legs {
-		if budget.Sign() <= 0 {
-			break
-		}
-		// r = min(l.rate, budget / c1).
-		byPort := new(big.Rat).Quo(budget, new(big.Rat).SetInt64(l.c1))
-		r := l.rate
-		if byPort.Cmp(r) < 0 {
-			r = byPort
-		}
-		total.Add(total, r)
-		spent := new(big.Rat).Mul(r, new(big.Rat).SetInt64(l.c1))
-		budget.Sub(budget, spent)
-	}
-	return total, nil
+	return portKnapsack(items), nil
 }
 
 // Throughput returns the steady-state throughput of the fork's spider
@@ -138,8 +111,15 @@ func (t Tree) Throughput() (*big.Rat, error) {
 		return nil, err
 	}
 	var nodeRate func(n TreeNode) *big.Rat
+	childRates := func(children []TreeNode) *big.Rat {
+		items := make([]rateItem, 0, len(children))
+		for _, ch := range children {
+			items = append(items, rateItem{c: int64(ch.Comm), rate: nodeRate(ch)})
+		}
+		return portKnapsack(items)
+	}
 	nodeRate = func(n TreeNode) *big.Rat {
-		y := portKnapsack(n.Children, nodeRate)
+		y := childRates(n.Children)
 		// X = min(1/c, 1/w + y).
 		withWork := new(big.Rat).Add(new(big.Rat).SetFrac64(1, int64(n.Work)), y)
 		linkCap := new(big.Rat).SetFrac64(1, int64(n.Comm))
@@ -148,35 +128,39 @@ func (t Tree) Throughput() (*big.Rat, error) {
 		}
 		return linkCap
 	}
-	return portKnapsack(t.Roots, nodeRate), nil
+	return childRates(t.Roots), nil
 }
 
-// portKnapsack solves the one-port fractional knapsack: children sorted
-// by ascending link latency are saturated greedily within a unit port
-// budget.
-func portKnapsack(children []TreeNode, nodeRate func(TreeNode) *big.Rat) *big.Rat {
-	type item struct {
-		c    int64
-		rate *big.Rat
-	}
-	items := make([]item, 0, len(children))
-	for _, ch := range children {
-		items = append(items, item{c: int64(ch.Comm), rate: nodeRate(ch)})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].c < items[j].c })
+// rateItem is one destination behind a sending port: the latency c of
+// the link to it and the steady-state rate it can absorb.
+type rateItem struct {
+	c    int64
+	rate *big.Rat
+}
+
+// portKnapsack solves the one-port fractional knapsack: maximise Σ r_i
+// subject to Σ r_i·c_i ≤ 1 and 0 ≤ r_i ≤ rate_i. Items are saturated
+// greedily in ascending c, which is ascending port time per unit of
+// throughput, so the greedy is optimal; items of equal c share the
+// budget the same way in any order, so the total does not depend on
+// how ties sort. It sorts items in place.
+func portKnapsack(items []rateItem) *big.Rat {
+	slices.SortStableFunc(items, func(a, b rateItem) int { return cmp.Compare(a.c, b.c) })
 	total := new(big.Rat)
-	budget := new(big.Rat).SetInt64(1)
+	budget := new(big.Rat).SetInt64(1) // fraction of port time left
+	c, byPort, spent := new(big.Rat), new(big.Rat), new(big.Rat)
 	for _, it := range items {
 		if budget.Sign() <= 0 {
 			break
 		}
-		byPort := new(big.Rat).Quo(budget, new(big.Rat).SetInt64(it.c))
-		r := it.rate
-		if byPort.Cmp(r) < 0 {
-			r = byPort
+		// r = min(rate, budget / c).
+		c.SetInt64(it.c)
+		r := byPort.Quo(budget, c)
+		if it.rate.Cmp(r) < 0 {
+			r = it.rate
 		}
 		total.Add(total, r)
-		budget.Sub(budget, new(big.Rat).Mul(r, new(big.Rat).SetInt64(it.c)))
+		budget.Sub(budget, spent.Mul(r, c))
 	}
 	return total
 }

@@ -141,12 +141,12 @@ type Solver struct {
 
 	// trace, when non-nil, receives per-phase wall times: plan growth
 	// under obs.PhaseConstruct (via the plans' core.Incremental hooks),
-	// plan set-up under obs.PhaseDedup, fit-count sums under
-	// obs.PhaseMerge, the probe body under obs.PhasePack and the
-	// Lemma 3 revert under obs.PhaseExtract. Nil (the default) keeps
-	// the hot path at one pointer compare per phase boundary — the
-	// disabled-hooks test asserts the warm probe's allocation count is
-	// unchanged.
+	// plan set-up and the steady-state seed under obs.PhaseDedup,
+	// fit-count sums under obs.PhaseMerge, the probe body under
+	// obs.PhasePack and the Lemma 3 revert under obs.PhaseExtract.
+	// Nil (the default) keeps the hot path at one pointer compare per
+	// phase boundary — the disabled-hooks test asserts the warm probe's
+	// allocation count is unchanged.
 	trace *obs.SolveTrace
 	// cancel, when non-nil, is the cooperative cancellation checkpoint
 	// the solve loops poll: once per deadline probe (fits), at stride
@@ -660,10 +660,16 @@ func (s *Solver) revert(alloc *fork.Allocation, deadline platform.Time) (*sched.
 // lowerBound returns platform.Spider.LowerBound(n) from the spider's
 // steady-state rate and best solo completion, computed once per solver:
 // the rate is exact rational arithmetic over every leg, too costly to
-// redo on every MinMakespan of a warm solver.
+// redo on every MinMakespan of a warm solver. Like buildPlans, that
+// once-per-solver set-up is traced under obs.PhaseDedup.
 func (s *Solver) lowerBound(n int) (platform.Time, error) {
 	if s.rate == nil && s.rateErr == nil {
+		var t0 time.Time
+		if s.trace != nil {
+			t0 = time.Now()
+		}
 		s.rate, s.solo, s.rateErr = s.sp.SteadyState()
+		s.trace.ObserveSince(obs.PhaseDedup, t0)
 	}
 	if s.rateErr != nil {
 		return 0, s.rateErr

@@ -9,9 +9,10 @@ import (
 
 // TestTracePhaseAttribution: a traced solve must report spans into the
 // phases the solve actually runs — construction (leg plan growth),
-// dedup (buildPlans set-up, flushed on attach), merge (fit-count cuts),
-// pack (probe bodies) and extract (the Lemma-3 revert) — and detaching
-// must stop the reporting.
+// dedup (buildPlans set-up, flushed on attach, and the steady-state
+// seed of the first MinMakespan), merge (fit-count cuts), pack (probe
+// bodies) and extract (the Lemma-3 revert) — and detaching must stop
+// the reporting.
 func TestTracePhaseAttribution(t *testing.T) {
 	g := platform.MustGenerator(7, 1, 9, platform.Bimodal)
 	sp := g.Spider(4, 3)
@@ -21,9 +22,17 @@ func TestTracePhaseAttribution(t *testing.T) {
 	}
 	tr := &obs.SolveTrace{}
 	s.SetTrace(tr)
+	// The buildPlans set-up flushes exactly once, on first attach.
+	if got := tr.Snapshot().Spans[obs.PhaseDedup]; got != 1 {
+		t.Errorf("dedup spans after attach = %d, want 1 (the buildPlans flush)", got)
+	}
 
 	if _, _, err := s.MinMakespan(40); err != nil {
 		t.Fatal(err)
+	}
+	// The first solve adds the steady-state seed's span.
+	if got := tr.Snapshot().Spans[obs.PhaseDedup]; got != 2 {
+		t.Errorf("dedup spans after the first solve = %d, want 2 (flush + seed)", got)
 	}
 	if _, err := s.ScheduleWithin(40, 10_000); err != nil {
 		t.Fatal(err)
@@ -33,10 +42,6 @@ func TestTracePhaseAttribution(t *testing.T) {
 		if snap.Spans[p] == 0 {
 			t.Errorf("phase %s: no spans recorded (snapshot %+v)", p, snap.Map())
 		}
-	}
-	// The buildPlans set-up flushes exactly once, on first attach.
-	if snap.Spans[obs.PhaseDedup] != 1 {
-		t.Errorf("dedup spans = %d, want exactly 1 (the buildPlans flush)", snap.Spans[obs.PhaseDedup])
 	}
 
 	// Detach: further queries must not grow the trace.
@@ -48,13 +53,14 @@ func TestTracePhaseAttribution(t *testing.T) {
 		t.Errorf("detached trace still collecting: %+v -> %+v", snap.Map(), after.Map())
 	}
 
-	// Re-attach: the dedup flush must NOT repeat (same plans, same trace).
+	// Re-attach: neither the flush nor the seed repeats (same plans,
+	// same cached rate).
 	s.SetTrace(tr)
 	if _, _, err := s.MinMakespan(60); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Snapshot().Spans[obs.PhaseDedup]; got != 1 {
-		t.Errorf("dedup flushed again on re-attach: spans = %d, want 1", got)
+	if got := tr.Snapshot().Spans[obs.PhaseDedup]; got != 2 {
+		t.Errorf("dedup spans after a repeat solve = %d, want 2", got)
 	}
 }
 

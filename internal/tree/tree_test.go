@@ -63,8 +63,11 @@ func TestFromSpiderIsSpider(t *testing.T) {
 
 func TestRateMatchesChainAndSpiderRates(t *testing.T) {
 	// Unary trees and depth-1 trees must reproduce the chain/spider
-	// steady-state rates exactly (three independent implementations).
+	// steady-state rates exactly: the tree's node recursion against the
+	// chain recursion, and against the spider's leg rates fed to the
+	// same one-port knapsack.
 	g := platform.MustGenerator(55, 1, 9, platform.Uniform)
+	tg := platform.MustGenerator(56, 1, 9, platform.Uniform)
 	for trial := 0; trial < 8; trial++ {
 		ch := g.Chain(1 + trial%4)
 		want, err := ch.Throughput()
@@ -79,17 +82,25 @@ func TestRateMatchesChainAndSpiderRates(t *testing.T) {
 			t.Errorf("chain %v: tree rate %s, chain rate %s", ch, got.RatString(), want.RatString())
 		}
 
+		// tied gives its legs two first-link costs, so the one-port
+		// knapsack sorts items of equal cost.
 		sp := g.Spider(2+trial%3, 3)
-		wantSp, err := sp.Throughput()
-		if err != nil {
-			t.Fatal(err)
+		tied := tg.Spider(3+trial%4, 2)
+		for b := range tied.Legs {
+			tied.Legs[b].Nodes[0].Comm = platform.Time(1 + b%2)
 		}
-		gotSp, err := platform.TreeFromSpider(sp).Throughput()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSp.Cmp(wantSp) != 0 {
-			t.Errorf("spider %v: tree rate %s, spider rate %s", sp, gotSp.RatString(), wantSp.RatString())
+		for _, sp := range []platform.Spider{sp, tied} {
+			wantSp, err := sp.Throughput()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSp, err := platform.TreeFromSpider(sp).Throughput()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSp.Cmp(wantSp) != 0 {
+				t.Errorf("spider %v: tree rate %s, spider rate %s", sp, gotSp.RatString(), wantSp.RatString())
+			}
 		}
 	}
 }
