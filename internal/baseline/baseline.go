@@ -2,23 +2,29 @@
 // relaxation bounds that the paper's optimal algorithms are measured
 // against in the reproduction experiments E8 and E9 (`msbench -list`).
 //
-// The heuristics are forward, online-style policies:
+// The heuristics are forward, online-style policies. Each one is a pick
+// rule over one loop that sends the tasks, in emission order, through
+// the oracle's ASAP/FIFO model (opt.Forward); chains run as one-leg
+// spiders:
 //
-//   - ForwardGreedy: earliest-completion-time list scheduling — each task
-//     in emission order goes to the processor that would finish it
-//     soonest given the current resource commitments (ASAP/FIFO).
-//   - RoundRobin: tasks cycle over the processors.
+//   - ForwardGreedy, SpiderGreedy: earliest-completion-time list
+//     scheduling — each task goes to the processor that would finish it
+//     soonest given the current resource commitments.
+//   - RoundRobin, SpiderRoundRobin: tasks cycle over the processors in
+//     (leg, depth) order.
 //   - MasterOnly: every task on the first processor (the paper's T∞
 //     schedule, also the backward algorithm's horizon).
 //
-// The bounds (bounds.go) come from the steady-state / divisible-load
-// relaxation of the related work ([2], Bataineh–Robertazzi): exact
-// rational throughputs and the induced makespan lower bound.
+// The bounds come from the steady-state / divisible-load relaxation of
+// the related work ([2], Bataineh–Robertazzi): the platforms' exact
+// rational throughputs and the induced makespan lower bound
+// (platform's Throughput and LowerBound); RateString prints a rate.
 package baseline
 
 import (
 	"fmt"
 
+	"repro/internal/opt"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
@@ -29,46 +35,64 @@ type ChainScheduler interface {
 	Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error)
 }
 
-// chainState is the forward ASAP/FIFO resource state shared by the
-// chain heuristics.
-type chainState struct {
-	ch       platform.Chain
-	linkFree []platform.Time
-	procFree []platform.Time
+// SpiderScheduler is a named scheduling policy for spiders.
+type SpiderScheduler interface {
+	Name() string
+	Schedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error)
 }
 
-func newChainState(ch platform.Chain) *chainState {
-	return &chainState{
-		ch:       ch,
-		linkFree: make([]platform.Time, ch.Len()+1),
-		procFree: make([]platform.Time, ch.Len()+1),
+// pick chooses the node (opt.Forward's depth-first id) of the i-th task.
+type pick func(f *opt.Forward, i int) int
+
+// earliest is the node that would finish the next task soonest, ties to
+// the first in (leg, depth) order.
+func earliest(f *opt.Forward, _ int) int {
+	best, bestEnd := 0, f.Completion(0)
+	for u := 1; u < f.Len(); u++ {
+		if end := f.Completion(u); end < bestEnd {
+			best, bestEnd = u, end
+		}
 	}
+	return best
 }
 
-// completion returns the finish time of the next task if sent to d,
-// without committing it.
-func (st *chainState) completion(d int) platform.Time {
-	var hop platform.Time
-	for k := 1; k <= d; k++ {
-		start := max(st.linkFree[k], hop)
-		hop = start + st.ch.Comm(k)
+// cycle walks the nodes in (leg, depth) order.
+func cycle(f *opt.Forward, i int) int { return i % f.Len() }
+
+// first is the first processor of the first leg.
+func first(*opt.Forward, int) int { return 0 }
+
+// forward sends n tasks, in emission order, to the nodes pick chooses
+// under the ASAP/FIFO model of the spider.
+func forward(sp platform.Spider, n int, next pick) (*sched.SpiderSchedule, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
 	}
-	return max(hop, st.procFree[d]) + st.ch.Work(d)
+	if n < 0 {
+		return nil, fmt.Errorf("baseline: negative task count %d", n)
+	}
+	f := opt.NewForward(platform.TreeFromSpider(sp))
+	s := &sched.SpiderSchedule{Spider: sp, Tasks: make([]sched.SpiderTask, n)}
+	for i := range s.Tasks {
+		s.Tasks[i] = f.Task(next(f, i))
+	}
+	return s, nil
 }
 
-// commit sends the next task to d and returns its assignment.
-func (st *chainState) commit(d int) sched.ChainTask {
-	comms := make([]platform.Time, d)
-	var hop platform.Time
-	for k := 1; k <= d; k++ {
-		start := max(st.linkFree[k], hop)
-		comms[k-1] = start
-		hop = start + st.ch.Comm(k)
-		st.linkFree[k] = hop
+// forwardChain runs forward on the chain as a one-leg spider.
+func forwardChain(ch platform.Chain, n int, next pick) (*sched.ChainSchedule, error) {
+	if err := ch.Validate(); err != nil {
+		return nil, err
 	}
-	begin := max(hop, st.procFree[d])
-	st.procFree[d] = begin + st.ch.Work(d)
-	return sched.ChainTask{Proc: d, Start: begin, Comms: comms}
+	s, err := forward(platform.NewSpider(ch), n, next)
+	if err != nil {
+		return nil, err
+	}
+	out := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, n)}
+	for i, t := range s.Tasks {
+		out.Tasks[i] = t.ChainTask
+	}
+	return out, nil
 }
 
 // ForwardGreedy is earliest-completion-time list scheduling.
@@ -80,24 +104,7 @@ func (ForwardGreedy) Name() string { return "forward-greedy" }
 // Schedule implements ChainScheduler: every task goes to the processor
 // minimising its own completion time, ties to the shallowest processor.
 func (ForwardGreedy) Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("baseline: negative task count %d", n)
-	}
-	st := newChainState(ch)
-	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, 0, n)}
-	for i := 0; i < n; i++ {
-		best, bestEnd := 1, st.completion(1)
-		for d := 2; d <= ch.Len(); d++ {
-			if end := st.completion(d); end < bestEnd {
-				best, bestEnd = d, end
-			}
-		}
-		s.Tasks = append(s.Tasks, st.commit(best))
-	}
-	return s, nil
+	return forwardChain(ch, n, earliest)
 }
 
 // RoundRobin cycles tasks over the processors in depth order.
@@ -108,18 +115,7 @@ func (RoundRobin) Name() string { return "round-robin" }
 
 // Schedule implements ChainScheduler.
 func (RoundRobin) Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("baseline: negative task count %d", n)
-	}
-	st := newChainState(ch)
-	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, 0, n)}
-	for i := 0; i < n; i++ {
-		s.Tasks = append(s.Tasks, st.commit(i%ch.Len()+1))
-	}
-	return s, nil
+	return forwardChain(ch, n, cycle)
 }
 
 // MasterOnly places every task on processor 1 — the T∞ schedule whose
@@ -131,74 +127,7 @@ func (MasterOnly) Name() string { return "master-only" }
 
 // Schedule implements ChainScheduler.
 func (MasterOnly) Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("baseline: negative task count %d", n)
-	}
-	st := newChainState(ch)
-	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, 0, n)}
-	for i := 0; i < n; i++ {
-		s.Tasks = append(s.Tasks, st.commit(1))
-	}
-	return s, nil
-}
-
-// SpiderScheduler is a named scheduling policy for spiders.
-type SpiderScheduler interface {
-	Name() string
-	Schedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error)
-}
-
-// spiderState is the forward ASAP/FIFO state for spider heuristics: the
-// master's send port plus per-leg chain states.
-type spiderState struct {
-	sp       platform.Spider
-	portFree platform.Time
-	legs     []*chainState
-}
-
-func newSpiderState(sp platform.Spider) *spiderState {
-	st := &spiderState{sp: sp, legs: make([]*chainState, sp.NumLegs())}
-	for b, leg := range sp.Legs {
-		st.legs[b] = newChainState(leg)
-	}
-	return st
-}
-
-func (st *spiderState) completion(leg, d int) platform.Time {
-	lst := st.legs[leg]
-	var hop platform.Time
-	for k := 1; k <= d; k++ {
-		start := max(lst.linkFree[k], hop)
-		if k == 1 {
-			start = max(start, st.portFree)
-		}
-		hop = start + lst.ch.Comm(k)
-	}
-	return max(hop, lst.procFree[d]) + lst.ch.Work(d)
-}
-
-func (st *spiderState) commit(leg, d int) sched.SpiderTask {
-	lst := st.legs[leg]
-	comms := make([]platform.Time, d)
-	var hop platform.Time
-	for k := 1; k <= d; k++ {
-		start := max(lst.linkFree[k], hop)
-		if k == 1 {
-			start = max(start, st.portFree)
-		}
-		comms[k-1] = start
-		hop = start + lst.ch.Comm(k)
-		lst.linkFree[k] = hop
-		if k == 1 {
-			st.portFree = hop
-		}
-	}
-	begin := max(hop, lst.procFree[d])
-	lst.procFree[d] = begin + lst.ch.Work(d)
-	return sched.SpiderTask{Leg: leg, ChainTask: sched.ChainTask{Proc: d, Start: begin, Comms: comms}}
+	return forwardChain(ch, n, first)
 }
 
 // SpiderGreedy is earliest-completion-time list scheduling over every
@@ -210,30 +139,7 @@ func (SpiderGreedy) Name() string { return "forward-greedy" }
 
 // Schedule implements SpiderScheduler.
 func (SpiderGreedy) Schedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("baseline: negative task count %d", n)
-	}
-	st := newSpiderState(sp)
-	s := &sched.SpiderSchedule{Spider: sp, Tasks: make([]sched.SpiderTask, 0, n)}
-	for i := 0; i < n; i++ {
-		bestLeg, bestProc := 0, 1
-		bestEnd := st.completion(0, 1)
-		for b, leg := range sp.Legs {
-			for d := 1; d <= leg.Len(); d++ {
-				if b == 0 && d == 1 {
-					continue
-				}
-				if end := st.completion(b, d); end < bestEnd {
-					bestLeg, bestProc, bestEnd = b, d, end
-				}
-			}
-		}
-		s.Tasks = append(s.Tasks, st.commit(bestLeg, bestProc))
-	}
-	return s, nil
+	return forward(sp, n, earliest)
 }
 
 // SpiderRoundRobin cycles tasks over every processor of the spider in
@@ -245,24 +151,5 @@ func (SpiderRoundRobin) Name() string { return "round-robin" }
 
 // Schedule implements SpiderScheduler.
 func (SpiderRoundRobin) Schedule(sp platform.Spider, n int) (*sched.SpiderSchedule, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("baseline: negative task count %d", n)
-	}
-	type dest struct{ leg, proc int }
-	var dests []dest
-	for b, leg := range sp.Legs {
-		for d := 1; d <= leg.Len(); d++ {
-			dests = append(dests, dest{b, d})
-		}
-	}
-	st := newSpiderState(sp)
-	s := &sched.SpiderSchedule{Spider: sp, Tasks: make([]sched.SpiderTask, 0, n)}
-	for i := 0; i < n; i++ {
-		dst := dests[i%len(dests)]
-		s.Tasks = append(s.Tasks, st.commit(dst.leg, dst.proc))
-	}
-	return s, nil
+	return forward(sp, n, cycle)
 }

@@ -3,25 +3,11 @@
 // paper's optimality theorems (Theorem 1 for chains, Theorem 3 for
 // spiders) and the fork-graph comparator of §6.
 //
-// # Why destination-sequence enumeration is exact
-//
-// Without loss of generality tasks are emitted from the master in index
-// order (the paper's convention after Definition 1). Because tasks are
-// identical, any feasible schedule can be rewritten — by exchanging the
-// identities of tasks downstream — so that every link forwards tasks in
-// emission order and every processor executes its tasks in arrival
-// order (FIFO): if a later-emitted task overtook an earlier one on some
-// link, the earlier task was available there no later than the later one
-// (arrivals are ordered by emission on the previous hop), so swapping
-// their continuations yields a feasible schedule with the same resource
-// usage. Finally, with FIFO fixed, shifting every communication and
-// execution to its earliest feasible time (ASAP) never violates a
-// constraint and never increases the makespan.
-//
-// Hence min over all schedules = min over destination sequences of the
-// ASAP/FIFO forward simulation, and enumerating the p^n destination
-// sequences is exact. The blow-up restricts the oracle to the small
-// instances used in tests and validation experiments.
+// Every oracle enumerates destination sequences under one ASAP/FIFO
+// forward model, Forward, whose doc explains why the enumeration is
+// exact: chains run as one-leg spiders, spiders and forks as their
+// trees. The blow-up restricts the oracle to the small instances used in
+// tests and validation experiments.
 package opt
 
 import (
@@ -38,57 +24,15 @@ func ForwardChain(ch platform.Chain, dests []int) (*sched.ChainSchedule, error) 
 	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
-	p := ch.Len()
-	linkFree := make([]platform.Time, p+1)
-	procFree := make([]platform.Time, p+1)
-	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, 0, len(dests))}
+	ids := make([]int, len(dests))
 	for i, d := range dests {
-		if d < 1 || d > p {
-			return nil, fmt.Errorf("opt: task %d destination %d outside [1,%d]", i+1, d, p)
+		if d < 1 || d > ch.Len() {
+			return nil, fmt.Errorf("opt: task %d destination %d outside [1,%d]", i+1, d, ch.Len())
 		}
-		comms := make([]platform.Time, d)
-		var hop platform.Time
-		for k := 1; k <= d; k++ {
-			start := linkFree[k]
-			if k > 1 && hop > start {
-				start = hop
-			}
-			comms[k-1] = start
-			hop = start + ch.Comm(k)
-			linkFree[k] = hop
-		}
-		begin := max(hop, procFree[d])
-		procFree[d] = begin + ch.Work(d)
-		s.Tasks = append(s.Tasks, sched.ChainTask{Proc: d, Start: begin, Comms: comms})
+		ids[i] = d - 1
 	}
-	return s, nil
-}
-
-// chainMakespan is the allocation-free fast path of ForwardChain used
-// inside the exhaustive search loops.
-func chainMakespan(ch platform.Chain, dests []int, linkFree, procFree []platform.Time) platform.Time {
-	p := ch.Len()
-	for k := 0; k <= p; k++ {
-		linkFree[k], procFree[k] = 0, 0
-	}
-	var mk platform.Time
-	for _, d := range dests {
-		var hop platform.Time
-		for k := 1; k <= d; k++ {
-			start := linkFree[k]
-			if k > 1 && hop > start {
-				start = hop
-			}
-			hop = start + ch.Comm(k)
-			linkFree[k] = hop
-		}
-		begin := max(hop, procFree[d])
-		procFree[d] = begin + ch.Work(d)
-		if procFree[d] > mk {
-			mk = procFree[d]
-		}
-	}
-	return mk
+	sp := platform.NewSpider(ch)
+	return chainOf(replay(spiderForward(sp), sp, ids)), nil
 }
 
 // BruteChain returns an optimal schedule and its makespan for n tasks on
@@ -97,53 +41,27 @@ func BruteChain(ch platform.Chain, n int) (*sched.ChainSchedule, platform.Time, 
 	if err := ch.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if n < 0 {
-		return nil, 0, fmt.Errorf("opt: negative task count %d", n)
-	}
-	p := ch.Len()
-	best := platform.MaxTime
-	bestDests := make([]int, n)
-	dests := make([]int, n)
-	linkFree := make([]platform.Time, p+1)
-	procFree := make([]platform.Time, p+1)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			if mk := chainMakespan(ch, dests, linkFree, procFree); mk < best {
-				best = mk
-				copy(bestDests, dests)
-			}
-			return
-		}
-		for d := 1; d <= p; d++ {
-			dests[i] = d
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	if n == 0 {
-		return &sched.ChainSchedule{Chain: ch}, 0, nil
-	}
-	s, err := ForwardChain(ch, bestDests)
+	s, mk, err := bruteSpider(platform.NewSpider(ch), n)
 	if err != nil {
 		return nil, 0, err
 	}
-	return s, best, nil
+	return chainOf(s), mk, nil
 }
 
 // BruteChainMaxTasks returns the largest m ≤ limit such that m tasks can
-// complete within the deadline, exploiting that the optimal makespan is
-// non-decreasing in the task count (a schedule of m tasks contains one of
-// m−1).
+// complete within the deadline.
 func BruteChainMaxTasks(ch platform.Chain, limit int, deadline platform.Time) (int, error) {
-	for m := 1; m <= limit; m++ {
-		_, mk, err := BruteChain(ch, m)
-		if err != nil {
-			return 0, err
-		}
-		if mk > deadline {
-			return m - 1, nil
-		}
+	if err := ch.Validate(); err != nil {
+		return 0, err
 	}
-	return limit, nil
+	return spiderForward(platform.NewSpider(ch)).maxTasks(limit, deadline), nil
+}
+
+// chainOf reads a one-leg spider schedule back as a chain schedule.
+func chainOf(s *sched.SpiderSchedule) *sched.ChainSchedule {
+	out := &sched.ChainSchedule{Chain: s.Spider.Legs[0], Tasks: make([]sched.ChainTask, len(s.Tasks))}
+	for i, t := range s.Tasks {
+		out.Tasks[i] = t.ChainTask
+	}
+	return out
 }

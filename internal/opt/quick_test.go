@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/platform"
+	"repro/internal/sim"
 )
 
 // destSeq is a quick.Generator producing a random chain together with a
@@ -64,35 +65,77 @@ func TestQuickForwardChainAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// TestQuickForwardSpiderAlwaysFeasible is the spider-side analogue,
-// additionally exercising the master-port condition of the verifier.
-func TestQuickForwardSpiderAlwaysFeasible(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 250; trial++ {
-		legs := make([]platform.Chain, 1+rng.Intn(3))
-		for i := range legs {
-			depth := 1 + rng.Intn(3)
-			nodes := make([]platform.Node, depth)
-			for j := range nodes {
-				nodes[j] = platform.Node{
-					Comm: platform.Time(1 + rng.Intn(5)),
-					Work: platform.Time(1 + rng.Intn(5)),
-				}
-			}
-			legs[i] = platform.Chain{Nodes: nodes}
+// TestForwardMatchesSimReplay holds the forward model to code that
+// shares nothing with it: on random chains, spiders and forks, the
+// schedule of a random destination sequence must pass Definition 1
+// (Verify), and its makespan must equal the event-driven simulator's
+// ASAP replay of the same sequence.
+func TestForwardMatchesSimReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(2503))
+	node := func() platform.Node {
+		return platform.Node{Comm: platform.Time(1 + rng.Intn(6)), Work: platform.Time(1 + rng.Intn(9))}
+	}
+	chain := func(depth int) platform.Chain {
+		nodes := make([]platform.Node, depth)
+		for i := range nodes {
+			nodes[i] = node()
 		}
-		sp := platform.Spider{Legs: legs}
+		return platform.Chain{Nodes: nodes}
+	}
+	for trial := 0; trial < 600; trial++ {
+		var sp platform.Spider
+		switch trial % 3 {
+		case 0:
+			sp = platform.NewSpider(chain(1 + rng.Intn(4)))
+		case 1:
+			for b := 1 + rng.Intn(3); b > 0; b-- {
+				sp.Legs = append(sp.Legs, chain(1+rng.Intn(3)))
+			}
+		case 2:
+			f := platform.Fork{}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				f.Slaves = append(f.Slaves, node())
+			}
+			sp = f.Spider()
+		}
 		all := AllDests(sp)
-		dests := make([]SpiderDest, rng.Intn(8))
+		dests := make([]SpiderDest, rng.Intn(10))
+		replay := make([]sim.Dest, len(dests))
 		for i := range dests {
 			dests[i] = all[rng.Intn(len(all))]
+			replay[i] = sim.Dest{Leg: dests[i].Leg, Proc: dests[i].Proc}
 		}
+		res, err := sim.Run(sp, len(dests), sim.NewStatic("replay", replay))
+		if err != nil {
+			t.Fatal(err)
+		}
+
 		s, err := ForwardSpider(sp, dests)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Verify(); err != nil {
-			t.Fatalf("%v dests %v: infeasible forward schedule: %v", sp, dests, err)
+			t.Fatalf("%v dests %v: infeasible: %v", sp, dests, err)
+		}
+		if s.Makespan() != res.Makespan {
+			t.Fatalf("%v dests %v: forward makespan %d, sim %d", sp, dests, s.Makespan(), res.Makespan)
+		}
+		if sp.NumLegs() != 1 {
+			continue
+		}
+		procs := make([]int, len(dests))
+		for i, d := range dests {
+			procs[i] = d.Proc
+		}
+		cs, err := ForwardChain(sp.Legs[0], procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Verify(); err != nil {
+			t.Fatalf("%v dests %v: infeasible: %v", sp.Legs[0], procs, err)
+		}
+		if cs.Makespan() != res.Makespan {
+			t.Fatalf("%v dests %v: forward makespan %d, sim %d", sp.Legs[0], procs, cs.Makespan(), res.Makespan)
 		}
 	}
 }

@@ -22,44 +22,21 @@ func ForwardSpider(sp platform.Spider, dests []SpiderDest) (*sched.SpiderSchedul
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	var portFree platform.Time
-	linkFree := make([][]platform.Time, sp.NumLegs())
-	procFree := make([][]platform.Time, sp.NumLegs())
-	for b, leg := range sp.Legs {
-		linkFree[b] = make([]platform.Time, leg.Len()+1)
-		procFree[b] = make([]platform.Time, leg.Len()+1)
+	first := make([]int, sp.NumLegs()) // node id of each leg's depth 1
+	for b := 1; b < sp.NumLegs(); b++ {
+		first[b] = first[b-1] + sp.Legs[b-1].Len()
 	}
-	s := &sched.SpiderSchedule{Spider: sp, Tasks: make([]sched.SpiderTask, 0, len(dests))}
+	ids := make([]int, len(dests))
 	for i, d := range dests {
 		if d.Leg < 0 || d.Leg >= sp.NumLegs() {
 			return nil, fmt.Errorf("opt: task %d leg %d outside [0,%d)", i+1, d.Leg, sp.NumLegs())
 		}
-		leg := sp.Legs[d.Leg]
-		if d.Proc < 1 || d.Proc > leg.Len() {
-			return nil, fmt.Errorf("opt: task %d depth %d outside [1,%d]", i+1, d.Proc, leg.Len())
+		if l := sp.Legs[d.Leg].Len(); d.Proc < 1 || d.Proc > l {
+			return nil, fmt.Errorf("opt: task %d depth %d outside [1,%d]", i+1, d.Proc, l)
 		}
-		comms := make([]platform.Time, d.Proc)
-		// First hop: gated by the master's port (which subsumes the
-		// first link of the leg because the port serialises everything).
-		start := max(portFree, linkFree[d.Leg][1])
-		comms[0] = start
-		hop := start + leg.Comm(1)
-		portFree = hop
-		linkFree[d.Leg][1] = hop
-		for k := 2; k <= d.Proc; k++ {
-			st := max(hop, linkFree[d.Leg][k])
-			comms[k-1] = st
-			hop = st + leg.Comm(k)
-			linkFree[d.Leg][k] = hop
-		}
-		begin := max(hop, procFree[d.Leg][d.Proc])
-		procFree[d.Leg][d.Proc] = begin + leg.Work(d.Proc)
-		s.Tasks = append(s.Tasks, sched.SpiderTask{
-			Leg:       d.Leg,
-			ChainTask: sched.ChainTask{Proc: d.Proc, Start: begin, Comms: comms},
-		})
+		ids[i] = first[d.Leg] + d.Proc - 1
 	}
-	return s, nil
+	return replay(spiderForward(sp), sp, ids), nil
 }
 
 // AllDests lists every processor of the spider as a destination.
@@ -80,55 +57,16 @@ func BruteSpider(sp platform.Spider, n int) (*sched.SpiderSchedule, platform.Tim
 	if err := sp.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if n < 0 {
-		return nil, 0, fmt.Errorf("opt: negative task count %d", n)
-	}
-	all := AllDests(sp)
-	best := platform.MaxTime
-	bestDests := make([]SpiderDest, n)
-	dests := make([]SpiderDest, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			s, err := ForwardSpider(sp, dests)
-			if err != nil {
-				return
-			}
-			if mk := s.Makespan(); mk < best {
-				best = mk
-				copy(bestDests, dests)
-			}
-			return
-		}
-		for _, d := range all {
-			dests[i] = d
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	if n == 0 {
-		return &sched.SpiderSchedule{Spider: sp}, 0, nil
-	}
-	s, err := ForwardSpider(sp, bestDests)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, best, nil
+	return bruteSpider(sp, n)
 }
 
 // BruteSpiderMaxTasks returns the largest m ≤ limit whose optimal
 // makespan fits within the deadline.
 func BruteSpiderMaxTasks(sp platform.Spider, limit int, deadline platform.Time) (int, error) {
-	for m := 1; m <= limit; m++ {
-		_, mk, err := BruteSpider(sp, m)
-		if err != nil {
-			return 0, err
-		}
-		if mk > deadline {
-			return m - 1, nil
-		}
+	if err := sp.Validate(); err != nil {
+		return 0, err
 	}
-	return limit, nil
+	return spiderForward(sp).maxTasks(limit, deadline), nil
 }
 
 // BruteFork returns an optimal schedule and makespan for n tasks on a
@@ -141,4 +79,27 @@ func BruteFork(f platform.Fork, n int) (*sched.SpiderSchedule, platform.Time, er
 // on the fork fits within the deadline.
 func BruteForkMaxTasks(f platform.Fork, limit int, deadline platform.Time) (int, error) {
 	return BruteSpiderMaxTasks(f.Spider(), limit, deadline)
+}
+
+// bruteSpider is BruteSpider on a validated spider.
+func bruteSpider(sp platform.Spider, n int) (*sched.SpiderSchedule, platform.Time, error) {
+	if n < 0 {
+		return nil, 0, fmt.Errorf("opt: negative task count %d", n)
+	}
+	f := spiderForward(sp)
+	mk, ids := f.Brute(n)
+	return replay(f, sp, ids), mk, nil
+}
+
+func spiderForward(sp platform.Spider) *Forward {
+	return NewForward(platform.TreeFromSpider(sp))
+}
+
+// replay runs the node ids on the idle model f as sp's schedule.
+func replay(f *Forward, sp platform.Spider, ids []int) *sched.SpiderSchedule {
+	s := &sched.SpiderSchedule{Spider: sp, Tasks: make([]sched.SpiderTask, len(ids))}
+	for i, u := range ids {
+		s.Tasks[i] = f.Task(u)
+	}
+	return s
 }

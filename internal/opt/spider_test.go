@@ -3,6 +3,7 @@ package opt
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 )
 
@@ -101,10 +102,16 @@ func TestBruteSpiderSmall(t *testing.T) {
 }
 
 func TestBruteSpiderMatchesChainWhenSingleLeg(t *testing.T) {
-	// A one-leg spider is exactly a chain.
+	// A one-leg spider is exactly a chain. Both oracles run the same
+	// forward model, so they are held to the backward chain algorithm
+	// (Theorem 1), which shares no code with them.
 	ch := platform.NewChain(2, 5, 3, 3)
 	sp := platform.NewSpider(ch)
 	for n := 1; n <= 4; n++ {
+		s, err := core.Schedule(ch, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, chainMk, err := BruteChain(ch, n)
 		if err != nil {
 			t.Fatal(err)
@@ -113,8 +120,8 @@ func TestBruteSpiderMatchesChainWhenSingleLeg(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chainMk != spiderMk {
-			t.Errorf("n=%d: chain %d vs one-leg spider %d", n, chainMk, spiderMk)
+		if want := s.Makespan(); chainMk != want || spiderMk != want {
+			t.Errorf("n=%d: chain oracle %d, one-leg spider oracle %d, algorithm %d", n, chainMk, spiderMk, want)
 		}
 	}
 }

@@ -18,14 +18,35 @@
 //     backward constructions once. It is also the seam where a
 //     tree-native scheduler (recursing the virtual-slave transformation
 //     over subtrees) later swaps in without touching any caller;
-//   - an exact exhaustive oracle for small trees (brute.go), so the
-//     covering heuristic's gap can be measured rather than guessed.
+//   - Brute: the exact exhaustive oracle for small trees, so the
+//     covering heuristic's gap can be measured rather than guessed. It
+//     enumerates destination sequences under opt.Forward, the ASAP/FIFO
+//     model whose doc argues why that enumeration is exact on trees.
 package tree
 
-import "repro/internal/platform"
+import (
+	"fmt"
+
+	"repro/internal/opt"
+	"repro/internal/platform"
+)
 
 // Node is one processor of the tree (alias of platform.TreeNode).
 type Node = platform.TreeNode
 
 // Tree is a rooted tree of processors (alias of platform.Tree).
 type Tree = platform.Tree
+
+// Brute returns the exact optimal makespan of n tasks on the tree by
+// exhaustive search over destination sequences under opt.Forward's
+// ASAP/FIFO model. Exponential in n; for validation only.
+func Brute(t Tree, n int) (platform.Time, error) {
+	if err := t.Validate(); err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("tree: negative task count %d", n)
+	}
+	mk, _ := opt.NewForward(t).Brute(n)
+	return mk, nil
+}

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/opt"
 	"repro/internal/platform"
+	"repro/internal/spider"
 )
 
 // branchy is a tree with a genuine branching node:
@@ -124,14 +124,18 @@ func TestRateBranchyHandChecked(t *testing.T) {
 }
 
 func TestBruteMatchesSpiderOracleOnSpiderTrees(t *testing.T) {
-	// For spider-shaped trees the tree oracle must agree with the
-	// independent spider oracle.
+	// For spider-shaped trees the exhaustive tree oracle must agree with
+	// the §7 spider algorithm (Theorem 3), which shares no code with it.
 	g := platform.MustGenerator(77, 1, 4, platform.Uniform)
 	for trial := 0; trial < 6; trial++ {
 		sp := g.Spider(2, 2)
 		tr := platform.TreeFromSpider(sp)
+		solver, err := spider.NewSolver(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for n := 1; n <= 3; n++ {
-			_, wantMk, err := opt.BruteSpider(sp, n)
+			wantMk, _, err := solver.MinMakespan(n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +144,39 @@ func TestBruteMatchesSpiderOracleOnSpiderTrees(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != wantMk {
-				t.Fatalf("%v n=%d: tree oracle %d, spider oracle %d", sp, n, got, wantMk)
+				t.Fatalf("%v n=%d: tree oracle %d, spider solver %d", sp, n, got, wantMk)
+			}
+		}
+	}
+}
+
+func TestBruteBranchingTreePinned(t *testing.T) {
+	// master ──1── A (w=100) ─┬─c── leaf (w)
+	//                         └─c── leaf (w)
+	// Checked by hand. With c=1, w=3 the master's port is the
+	// bottleneck and A's port keeps both leaves busy: the first task
+	// finishes at 1+1+3 = 5 and the leaves alternate behind it. With
+	// c=3, w=1 A's one port is the bottleneck: it sends every 3 units
+	// from time 1, so task n finishes at 2+3n even though the two leaf
+	// links are distinct.
+	for _, tc := range []struct {
+		c, w platform.Time
+		want []platform.Time
+	}{
+		{1, 3, []platform.Time{5, 6, 8, 9, 11, 12}},
+		{3, 1, []platform.Time{5, 8, 11, 14}},
+	} {
+		tr := Tree{Roots: []Node{{Comm: 1, Work: 100, Children: []Node{
+			{Comm: tc.c, Work: tc.w},
+			{Comm: tc.c, Work: tc.w},
+		}}}}
+		for n := 1; n <= len(tc.want); n++ {
+			got, err := Brute(tr, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want[n-1] {
+				t.Errorf("leaves c=%d w=%d, n=%d: Brute = %d, want %d", tc.c, tc.w, n, got, tc.want[n-1])
 			}
 		}
 	}
