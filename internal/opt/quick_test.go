@@ -100,12 +100,12 @@ func TestForwardMatchesSimReplay(t *testing.T) {
 		}
 		all := AllDests(sp)
 		dests := make([]SpiderDest, rng.Intn(10))
-		replay := make([]sim.Dest, len(dests))
+		simDests := make([]sim.Dest, len(dests))
 		for i := range dests {
 			dests[i] = all[rng.Intn(len(all))]
-			replay[i] = sim.Dest{Leg: dests[i].Leg, Proc: dests[i].Proc}
+			simDests[i] = sim.Dest{Leg: dests[i].Leg, Proc: dests[i].Proc}
 		}
-		res, err := sim.Run(sp, len(dests), sim.NewStatic("replay", replay))
+		res, err := sim.Run(sp, len(dests), sim.NewStatic("replay", simDests))
 		if err != nil {
 			t.Fatal(err)
 		}
