@@ -11,10 +11,10 @@ import (
 	"repro/internal/tree"
 )
 
-// TestUnifiedSolverChainEquivalence: the unified Solver must answer
-// chain queries identically to the one-shot chain algorithm
-// (core.Schedule, core.ScheduleWithin): same schedules, not merely
-// same makespans.
+// TestUnifiedSolverChainEquivalence: the unified Solver, reusing one
+// warmed plan across queries, must answer chain queries identically to
+// a fresh plan per query (core.Schedule, core.ScheduleWithin): same
+// schedules, not merely same makespans.
 func TestUnifiedSolverChainEquivalence(t *testing.T) {
 	g := platform.MustGenerator(101, 1, 9, platform.Uniform)
 	for trial := 0; trial < 30; trial++ {

@@ -48,16 +48,6 @@ func ParseSpider(spec string) (platform.Spider, error) {
 	return sp, nil
 }
 
-// ParseFork parses an inline fork spec with the chain syntax, each pair
-// being one slave.
-func ParseFork(spec string) (platform.Fork, error) {
-	ch, err := ParseChain(spec)
-	if err != nil {
-		return platform.Fork{}, err
-	}
-	return platform.Fork{Slaves: ch.Nodes}, nil
-}
-
 func parseTimes(spec string) ([]platform.Time, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil

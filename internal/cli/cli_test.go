@@ -42,19 +42,6 @@ func TestParseSpider(t *testing.T) {
 	}
 }
 
-func TestParseFork(t *testing.T) {
-	f, err := ParseFork("1,3,2,2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 2 {
-		t.Errorf("parsed %v", f)
-	}
-	if _, err := ParseFork("1"); err == nil {
-		t.Error("odd spec accepted")
-	}
-}
-
 func TestLoadPlatform(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.json")

@@ -6,9 +6,10 @@
 // # The backward construction
 //
 // The algorithm schedules tasks from the last one to the first one,
-// anchored at a horizon: T∞ = c_1 + (n−1)·max(w_1, c_1) + w_1, the
-// makespan of the trivial all-on-processor-1 schedule. Two vectors of
-// state are maintained:
+// anchored at a horizon (the paper takes T∞ = c_1 + (n−1)·max(w_1, c_1)
+// + w_1, the makespan of the trivial all-on-processor-1 schedule; any
+// horizon gives the same schedule up to a shift). Two vectors of state
+// are maintained:
 //
 //   - the hull h_k: the earliest time from which link k may no longer be
 //     used (everything at or after h_k on link k is already committed to
@@ -31,36 +32,38 @@
 //
 // # The deadline variant
 //
-// ScheduleWithin replaces T∞ by a deadline Tlim and keeps scheduling
-// backward until either n tasks are placed or the next task's first
-// emission would be negative. The result maximises the number of tasks
-// completed by Tlim (used per-leg by the spider algorithm of §7, and — by
-// binary search on Tlim — an alternative route to the optimal makespan).
+// ScheduleWithin anchors the construction at a deadline Tlim and keeps
+// scheduling backward until either n tasks are placed or the next task's
+// first emission would be negative. The result maximises the number of
+// tasks completed by Tlim (used per-leg by the spider algorithm of §7,
+// and — by binary search on Tlim — an alternative route to the optimal
+// makespan).
 //
-// Both run on one flat kernel (placeNext), whose only per-task
-// allocation is the committed communication vector. The traced kernel
-// that materialises every candidate vector, for the Lemma 1/Lemma 2
-// structural checks, lives in the package's tests.
+// # One construction
+//
+// Both variants run one memoized plan, Incremental, anchored at horizon
+// 0 (its doc says why that one plan answers every task count and
+// deadline); Schedule and ScheduleWithin are a fresh plan's answers.
+// Its flat kernel (placeNext) allocates only the committed
+// communication vector per task. The traced kernel that materialises
+// every candidate vector, for the Lemma 1/Lemma 2 structural checks,
+// lives in the package's tests, with the construction from scratch
+// toward the query's own horizon that the plan is held against.
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
 // Schedule returns a makespan-optimal schedule of n tasks on the chain
-// (Theorem 1), normalised to start at time 0. The chain is validated
-// exactly once, inside run.
+// (Theorem 1), normalised to start at time 0.
 func Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error) {
-	s, err := run(ch, n, ch.MasterOnlyMakespan(n), false)
+	inc, err := NewIncremental(ch)
 	if err != nil {
 		return nil, err
 	}
-	shiftToZero(s)
-	return s, nil
+	return inc.Schedule(n)
 }
 
 // ScheduleWithin returns a schedule of as many tasks as possible — at
@@ -68,73 +71,11 @@ func Schedule(ch platform.Chain, n int) (*sched.ChainSchedule, error) {
 // task finishes at Tlim exactly when the deadline is tight. The schedule
 // is NOT re-shifted, so the spider algorithm can splice legs together.
 func ScheduleWithin(ch platform.Chain, n int, tlim platform.Time) (*sched.ChainSchedule, error) {
-	if tlim < 0 {
-		return nil, fmt.Errorf("core: negative deadline %d", tlim)
-	}
-	return run(ch, n, tlim, true)
-}
-
-// run performs the backward construction toward the given horizon on
-// the untraced fast path: the engine's flat scratch buffers are reused
-// across placements and the only per-task allocation is the committed
-// communication vector itself — no candidate matrices, no trace. In
-// limited mode it stops early when a task would be emitted before time
-// 0; otherwise it schedules exactly n tasks.
-func run(ch platform.Chain, n int, horizon platform.Time, limited bool) (*sched.ChainSchedule, error) {
-	if err := ch.Validate(); err != nil {
+	inc, err := NewIncremental(ch)
+	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, errors.New("core: negative task count")
-	}
-	e := newEngine(ch, horizon)
-
-	// Tasks are produced backward (task n first); prepend-by-reverse at
-	// the end. In limited mode we may stop with fewer than n tasks.
-	backward := make([]sched.ChainTask, 0, n)
-	for i := 0; i < n; i++ {
-		task, ok := e.placeNext()
-		if !ok {
-			return nil, errEmptyPlacement(ch)
-		}
-		if limited && task.Comms[0] < 0 {
-			// The task does not fit before time 0: undo nothing (state
-			// updates happen only on commit below) and stop.
-			break
-		}
-		e.commit(task)
-		backward = append(backward, task)
-	}
-	return reverseBackward(ch, backward), nil
-}
-
-// errEmptyPlacement is the limited-mode guard of the degenerate case:
-// a placement with no candidate vector (an empty chain slipping past
-// validation, or a future engine bug) must surface as an error, never
-// as an out-of-range read of Comms[0].
-func errEmptyPlacement(ch platform.Chain) error {
-	return fmt.Errorf("core: internal error: no placement candidate on a %d-processor chain", ch.Len())
-}
-
-// reverseBackward reverses backward placements into emission order.
-func reverseBackward(ch platform.Chain, backward []sched.ChainTask) *sched.ChainSchedule {
-	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, len(backward))}
-	for i, t := range backward {
-		s.Tasks[len(backward)-1-i] = t
-	}
-	if ch.Len() > 0 && len(s.Tasks) > 1 {
-		// The backward construction emits earlier tasks earlier by
-		// design; Normalize is a no-op kept as a guard.
-		s.Normalize()
-	}
-	return s
-}
-
-func shiftToZero(s *sched.ChainSchedule) {
-	if len(s.Tasks) == 0 {
-		return
-	}
-	s.Shift(-s.Tasks[0].Comms[0])
+	return inc.ScheduleWithin(n, tlim)
 }
 
 // engine holds the backward construction state. The chain parameters

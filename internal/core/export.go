@@ -12,12 +12,12 @@ import (
 // the O(n·p²) construction again.
 //
 // Soundness rests on two properties of the §3 construction already
-// relied on elsewhere (see Engine): it is deterministic — placeNext is a
-// pure function of the engine state — and commit is a pure O(p) state
-// update fully determined by the committed task. So replaying an
-// exported sequence through commit reproduces the exact engine state the
-// original construction left behind, and any later Grow continues
-// bit-identically to a plan that never spilled.
+// relied on elsewhere (see Incremental): it is deterministic —
+// placeNext is a pure function of the engine state — and commit is a
+// pure O(p) state update fully determined by the committed task. So
+// replaying an exported sequence through commit reproduces the exact
+// engine state the original construction left behind, and any later
+// Grow continues bit-identically to a plan that never spilled.
 
 // ExportBackward returns the cached backward placements, horizon-0
 // anchored, in construction order. The slice and its tasks share the
@@ -56,11 +56,7 @@ func (inc *Incremental) ImportBackward(tasks []sched.ChainTask) error {
 	}
 	// Replay into a fresh engine so a mid-sequence rejection cannot leave
 	// the plan's own engine half-committed.
-	eng, err := NewEngine(inc.ch, 0)
-	if err != nil {
-		return err
-	}
-	e := &eng.inner
+	e := newEngine(inc.ch, 0)
 	p := inc.ch.Len()
 	for i, t := range tasks {
 		if t.Proc < 1 || t.Proc > p {
@@ -89,7 +85,7 @@ func (inc *Incremental) ImportBackward(tasks []sched.ChainTask) error {
 		}
 		e.commit(t)
 	}
-	inc.eng = eng
+	inc.eng = e
 	inc.backward = tasks
 	return nil
 }

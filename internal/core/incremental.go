@@ -12,60 +12,25 @@ import (
 	"repro/internal/sched"
 )
 
-// Engine exposes the backward construction of §3 as a reusable,
-// incremental API: callers place tasks one at a time instead of asking
-// for a complete schedule. Tasks come out in backward order (the last
-// task of the final schedule first) with absolute times anchored at the
-// engine's horizon.
+// Incremental is a memoized chain plan: the backward construction of §3
+// anchored at horizon 0 and grown lazily, one placement at a time. It
+// is the package's one construction; Schedule and ScheduleWithin are a
+// fresh plan's answers.
 //
 // The construction is prefix-stable: the first k placements do not
-// depend on how many more will follow, so an Engine extended from k to
-// k+1 tasks reuses all the work done for k. It is also
-// translation-invariant in the horizon — every quantity the placement
-// rule inspects is either a difference of times or a comparison that a
-// common shift leaves unchanged (VecLess compares coordinates and
-// lengths only) — so the placements toward horizon H are exactly the
-// placements toward horizon 0 shifted by H.
-type Engine struct {
-	inner engine
-}
-
-// NewEngine returns an engine anchored at the given horizon. The chain
-// must be valid.
-func NewEngine(ch platform.Chain, horizon platform.Time) (*Engine, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
-	return &Engine{inner: *newEngine(ch, horizon)}, nil
-}
-
-// Peek computes the next backward placement without committing it.
-func (e *Engine) Peek() sched.ChainTask {
-	t, _ := e.inner.placeNext()
-	return t
-}
-
-// Extend places and commits the next backward task and returns it.
-// Successive first emissions strictly decrease (each new candidate is
-// hulled below the previous emission by at least c_1 ≥ 1), so extending
-// walks monotonically toward −∞; the caller decides when to stop.
-func (e *Engine) Extend() sched.ChainTask {
-	t, _ := e.inner.placeNext()
-	e.inner.commit(t)
-	return t
-}
-
-// Incremental is a memoized chain plan: the backward construction of §3
-// anchored at horizon 0 and grown lazily. Because the construction is
-// prefix-stable and translation-invariant (see Engine), the single
-// cached backward sequence answers every (task count, deadline) query:
+// depend on how many more will follow, so a plan grown from k to k+1
+// tasks reuses all the work done for k. It is also unchanged by a
+// horizon shift — every quantity the placement rule inspects is either
+// a difference of times or a comparison that a common shift leaves
+// unchanged (VecLess compares coordinates and lengths only) — so the
+// placements toward horizon H are exactly the placements toward horizon
+// 0 shifted by H. The single cached backward sequence therefore answers
+// every (task count, deadline) query:
 //
 //   - Schedule(n) is the first n backward placements, reversed and
-//     shifted so the first emission lands at 0 — identical to
-//     core.Schedule(ch, n);
+//     shifted so the first emission lands at 0;
 //   - ScheduleWithin(n, Tlim) is the longest backward prefix whose
-//     shifted emissions stay non-negative, capped at n — identical to
-//     core.ScheduleWithin(ch, n, Tlim);
+//     shifted emissions stay non-negative, capped at n;
 //   - FitWithin(n, Tlim) is just that prefix length, found by binary
 //     search over the strictly decreasing cached emissions.
 //
@@ -75,7 +40,7 @@ func (e *Engine) Extend() sched.ChainTask {
 // probe. Incremental is not safe for concurrent use.
 type Incremental struct {
 	ch  platform.Chain
-	eng *Engine
+	eng *engine
 	// backward[i] is the i-th backward placement, times relative to
 	// horizon 0 (first emissions are ≤ 0 and strictly decreasing).
 	backward []sched.ChainTask
@@ -131,11 +96,10 @@ func (inc *Incremental) Stats() IncrementalStats {
 
 // NewIncremental builds an empty memoized plan for the chain.
 func NewIncremental(ch platform.Chain) (*Incremental, error) {
-	eng, err := NewEngine(ch, 0)
-	if err != nil {
+	if err := ch.Validate(); err != nil {
 		return nil, err
 	}
-	return &Incremental{ch: ch, eng: eng}, nil
+	return &Incremental{ch: ch, eng: newEngine(ch, 0)}, nil
 }
 
 // Chain returns the chain the plan schedules on.
@@ -144,7 +108,10 @@ func (inc *Incremental) Chain() platform.Chain { return inc.ch }
 // Len returns how many backward placements are cached so far.
 func (inc *Incremental) Len() int { return len(inc.backward) }
 
-// Grow extends the cache to at least k backward placements.
+// Grow extends the cache to at least k backward placements. Successive
+// first emissions strictly decrease (each new candidate is hulled below
+// the previous emission by at least c_1 ≥ 1), which FitWithin's binary
+// search relies on.
 func (inc *Incremental) Grow(k int) {
 	if len(inc.backward) >= k {
 		return
@@ -155,7 +122,9 @@ func (inc *Incremental) Grow(k int) {
 	}
 	for len(inc.backward) < k {
 		inc.cancel.Checkpoint()
-		inc.backward = append(inc.backward, inc.eng.Extend())
+		t, _ := inc.eng.placeNext() // validated chains have a processor
+		inc.eng.commit(t)
+		inc.backward = append(inc.backward, t)
 	}
 	inc.trace.ObserveSince(obs.PhaseConstruct, t0)
 }
@@ -197,7 +166,7 @@ func (inc *Incremental) FitWithin(n int, deadline platform.Time) int {
 
 // ScheduleWithin materialises the schedule behind FitWithin(n, deadline):
 // the fitting backward prefix reversed into emission order and shifted
-// by the deadline into absolute times. It matches core.ScheduleWithin.
+// by the deadline into absolute times.
 func (inc *Incremental) ScheduleWithin(n int, deadline platform.Time) (s *sched.ChainSchedule, err error) {
 	defer recoverCancel(&err)
 	if n < 0 {
@@ -223,7 +192,7 @@ func recoverCancel(err *error) {
 }
 
 // Schedule materialises the makespan-optimal schedule of exactly n
-// tasks, shifted to start at time 0. It matches core.Schedule.
+// tasks, shifted to start at time 0.
 //
 // A cancelled growth does not leave empty-handed: the placements built
 // before the context died are a valid optimal prefix, and the optimal
@@ -259,7 +228,7 @@ func (inc *Incremental) partialBoundary(err *error) {
 	if k == 0 {
 		return
 	}
-	// The k-prefix is exactly core.Schedule(ch, k): its makespan is the
+	// The k-prefix is exactly Schedule(k): its makespan is the
 	// latest completion minus the earliest emission (backward placements
 	// strictly decrease in first emission, so entry k−1 starts it).
 	var maxEnd platform.Time

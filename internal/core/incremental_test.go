@@ -35,9 +35,10 @@ func (tinyChain) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 // TestQuickIncrementalMatchesSchedule: materialising n tasks from the
-// memoized plan is identical — task for task — to the from-scratch
-// construction, and stays so as the same plan is grown to larger n
-// (prefix stability) across random chains.
+// memoized plan is identical — task for task — to the traced
+// construction from scratch toward the paper's horizon, and stays so as
+// the same plan is grown to larger n (prefix stability) across random
+// chains.
 func TestQuickIncrementalMatchesSchedule(t *testing.T) {
 	prop := func(in tinyChain) bool {
 		inc, err := NewIncremental(in.Chain)
@@ -51,7 +52,7 @@ func TestQuickIncrementalMatchesSchedule(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			want, err := Schedule(in.Chain, k)
+			want, _, err := ScheduleTraced(in.Chain, k)
 			if err != nil {
 				return false
 			}
@@ -77,8 +78,9 @@ func TestQuickIncrementalMatchesSchedule(t *testing.T) {
 }
 
 // TestQuickIncrementalMatchesScheduleWithin: the deadline variant of the
-// memoized plan is identical to core.ScheduleWithin for every deadline,
-// and FitWithin agrees with the materialised length.
+// memoized horizon-0 plan is identical to the traced construction from
+// scratch anchored at the deadline itself, and FitWithin agrees with
+// the materialised length.
 func TestQuickIncrementalMatchesScheduleWithin(t *testing.T) {
 	prop := func(in tinyChain) bool {
 		inc, err := NewIncremental(in.Chain)
@@ -89,7 +91,7 @@ func TestQuickIncrementalMatchesScheduleWithin(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := ScheduleWithin(in.Chain, in.N, in.Deadline)
+		want, _, err := runTraced(in.Chain, in.N, in.Deadline, true)
 		if err != nil {
 			return false
 		}
@@ -155,29 +157,8 @@ func TestIncrementalTranslationInvariance(t *testing.T) {
 	}
 }
 
-// TestEngineExtendMatchesPeek: Peek previews exactly what Extend will
-// commit.
-func TestEngineExtendMatchesPeek(t *testing.T) {
-	ch := platform.NewChain(2, 5, 3, 3)
-	e, err := NewEngine(ch, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		peeked := e.Peek()
-		placed := e.Extend()
-		if !placed.Equal(peeked) {
-			t.Fatalf("step %d: Peek %v, Extend %v", i, peeked, placed)
-		}
-	}
-}
-
-// TestEngineInvalidChain: NewEngine and NewIncremental reject invalid
-// chains.
+// TestEngineInvalidChain: NewIncremental rejects invalid chains.
 func TestEngineInvalidChain(t *testing.T) {
-	if _, err := NewEngine(platform.Chain{}, 10); err == nil {
-		t.Error("NewEngine accepted an empty chain")
-	}
 	if _, err := NewIncremental(platform.Chain{}); err == nil {
 		t.Error("NewIncremental accepted an empty chain")
 	}

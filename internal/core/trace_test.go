@@ -13,7 +13,10 @@ import (
 // vector the backward construction weighs, O(p²) allocations per task,
 // so production runs the flat kernel (placeNext) alone; the tests hold
 // the two kernels to identical schedules and check the paper's lemmas
-// on the traced one.
+// on the traced one. runTraced is also the package's reference
+// construction from scratch, anchored at the query's own horizon: the
+// memoized horizon-0 plan (Incremental) is held to it for both the
+// makespan and the deadline variant.
 
 // Trace records, for every scheduled task, the candidate communication
 // vectors the algorithm weighed (index k-1 holds the candidate targeting
@@ -29,9 +32,10 @@ type Trace struct {
 	Chosen []int
 }
 
-// ScheduleTraced is Schedule plus the decision trace. The schedule is
-// shifted to start at 0 but the trace keeps absolute (pre-shift) times.
-// As with Schedule, the chain is validated exactly once.
+// ScheduleTraced is Schedule plus the decision trace, built from scratch
+// toward the paper's horizon T∞. The schedule is shifted to start at 0
+// but the trace keeps absolute (pre-shift) times. As with Schedule, the
+// chain is validated exactly once.
 func ScheduleTraced(ch platform.Chain, n int) (*sched.ChainSchedule, *Trace, error) {
 	s, tr, err := runTraced(ch, n, ch.MasterOnlyMakespan(n), false)
 	if err != nil {
@@ -41,9 +45,11 @@ func ScheduleTraced(ch platform.Chain, n int) (*sched.ChainSchedule, *Trace, err
 	return s, tr, nil
 }
 
-// runTraced is run plus the full decision trace: every candidate vector
-// the algorithm weighed is materialised, which costs O(p²) allocations
-// per task — callers that discard the trace must use run.
+// runTraced performs the backward construction toward the given horizon
+// and records the full decision trace: every candidate vector the
+// algorithm weighed is materialised, which costs O(p²) allocations per
+// task. In limited mode it stops early when a task would be emitted
+// before time 0; otherwise it schedules exactly n tasks.
 func runTraced(ch platform.Chain, n int, horizon platform.Time, limited bool) (*sched.ChainSchedule, *Trace, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, nil, err
@@ -70,6 +76,34 @@ func runTraced(ch platform.Chain, n int, horizon platform.Time, limited bool) (*
 	}
 	reverseTrace(tr)
 	return reverseBackward(ch, backward), tr, nil
+}
+
+// errEmptyPlacement is the guard of the degenerate case: a placement
+// with no candidate vector (an empty chain slipping past validation)
+// must surface as an error, never as an out-of-range read of Comms[0].
+func errEmptyPlacement(ch platform.Chain) error {
+	return fmt.Errorf("core: internal error: no placement candidate on a %d-processor chain", ch.Len())
+}
+
+// reverseBackward reverses backward placements into emission order.
+func reverseBackward(ch platform.Chain, backward []sched.ChainTask) *sched.ChainSchedule {
+	s := &sched.ChainSchedule{Chain: ch, Tasks: make([]sched.ChainTask, len(backward))}
+	for i, t := range backward {
+		s.Tasks[len(backward)-1-i] = t
+	}
+	if ch.Len() > 0 && len(s.Tasks) > 1 {
+		// The backward construction emits earlier tasks earlier by
+		// design; Normalize is a no-op kept as a guard.
+		s.Normalize()
+	}
+	return s
+}
+
+func shiftToZero(s *sched.ChainSchedule) {
+	if len(s.Tasks) == 0 {
+		return
+	}
+	s.Shift(-s.Tasks[0].Comms[0])
 }
 
 // reverseTrace reverses a backward trace into emission order.

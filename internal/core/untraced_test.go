@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/platform"
@@ -38,17 +39,23 @@ func TestValidateOnceErrorMessage(t *testing.T) {
 }
 
 // TestFlatKernelMatchesTraced pins the flat placement kernel to the
-// reference path: the untraced engine (flat scratch buffers, running
-// best-candidate comparison) and the traced engine (materialised
-// candidate matrices judged by sched.VecMaxIndex) must produce
-// identical schedules on random chains across sizes and regimes —
-// including the tie-heavy uniform regime where the earliest-index
-// preference of the Definition 3 order does real work.
+// reference path: the memoized horizon-0 plan on the untraced engine
+// (flat scratch buffers, running best-candidate comparison) and the
+// traced construction from scratch (materialised candidate matrices
+// judged by sched.VecMaxIndex, anchored at the query's own horizon)
+// must produce identical schedules on random chains across sizes and
+// regimes — including the tie-heavy uniform regime where the
+// earliest-index preference of the Definition 3 order does real work.
+// Both variants are checked: Schedule against the paper's horizon T∞,
+// and ScheduleWithin at random absolute deadlines against the traced
+// construction anchored at that deadline, so a horizon shift changing
+// any placement shows at the sizes the spider oracle asks for per leg.
 func TestFlatKernelMatchesTraced(t *testing.T) {
 	trials := 120
 	if testing.Short() {
 		trials = 30
 	}
+	r := rand.New(rand.NewSource(4100))
 	for _, regime := range []platform.Heterogeneity{platform.Uniform, platform.CommBound, platform.Bimodal} {
 		g := platform.MustGenerator(4100+int64(regime), 1, 5, regime)
 		for trial := 0; trial < trials; trial++ {
@@ -69,6 +76,22 @@ func TestFlatKernelMatchesTraced(t *testing.T) {
 			if err := fast.Verify(); err != nil {
 				t.Fatalf("flat-kernel schedule infeasible: %v", err)
 			}
+
+			// A deadline up to a quarter past the optimum: most cut the
+			// schedule short, some fit all n tasks.
+			deadline := platform.Time(r.Int63n(int64(fast.Makespan())*5/4 + 1))
+			within, err := ScheduleWithin(ch, n, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := runTraced(ch, n, deadline, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !within.Equal(ref) {
+				t.Fatalf("regime %v, chain %v, n=%d, deadline %d: memoized plan diverges from traced reference:\nfast: %v\nslow: %v",
+					regime, ch, n, deadline, within, ref)
+			}
 		}
 	}
 }
@@ -85,29 +108,27 @@ func TestUntracedPlacementAllocations(t *testing.T) {
 	g := platform.MustGenerator(42, 1, 9, platform.Bimodal)
 	ch := g.Chain(p)
 
-	eng, err := NewEngine(ch, 0)
-	if err != nil {
-		t.Fatal(err)
+	extend := func(e *engine) {
+		task, _ := e.placeNext()
+		e.commit(task)
 	}
+	eng := newEngine(ch, 0)
 	// Warm up so one-time engine state is settled.
 	for i := 0; i < 8; i++ {
-		eng.Extend()
+		extend(eng)
 	}
-	perExtend := testing.AllocsPerRun(200, func() { eng.Extend() })
+	perExtend := testing.AllocsPerRun(200, func() { extend(eng) })
 	if perExtend > 1 {
 		t.Errorf("untraced placement allocates %.1f objects per task, want ≤ 1 (the Comms vector)", perExtend)
 	}
 
-	traced, err := NewEngine(ch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced := newEngine(ch, 0)
 	for i := 0; i < 8; i++ {
-		traced.Extend()
+		extend(traced)
 	}
 	perTraced := testing.AllocsPerRun(200, func() {
-		task, _, _ := traced.inner.placeNextTraced()
-		traced.inner.commit(task)
+		task, _, _ := traced.placeNextTraced()
+		traced.commit(task)
 	})
 	if perTraced < p {
 		t.Errorf("traced placement allocates %.1f objects per task — expected ≥ %d (the candidate matrix); did the trace path change?", perTraced, p)

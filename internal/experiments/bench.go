@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/service"
@@ -60,7 +59,9 @@ const benchReps = 9
 type benchOp int
 
 const (
-	// opSchedule is one-shot core.Schedule of n tasks on a chain.
+	// opSchedule is one min-makespan solve of n tasks on a fresh
+	// solve.New(chain), the production chain solver: its incremental
+	// plan's construction included.
 	opSchedule benchOp = iota
 	// opCold is one min-makespan solve of n tasks on a fresh
 	// spider.Solver, leg dedup and plan construction included.
@@ -135,19 +136,27 @@ func benchCells() []benchCell {
 	}
 }
 
-// chainPhases is solvePhases for the chain family: one traced
-// incremental plan build + materialisation.
+// chainPhases is solvePhases for the chain family: one traced run of
+// the cell's operation.
 func chainPhases(ch platform.Chain, n int) (map[string]int64, error) {
-	inc, err := core.NewIncremental(ch)
-	if err != nil {
-		return nil, err
-	}
 	tr := &obs.SolveTrace{}
-	inc.SetTrace(tr)
-	if _, err := inc.Schedule(n); err != nil {
+	if err := coldChainSolve(ch, n, tr); err != nil {
 		return nil, err
 	}
 	return tr.Snapshot().Map(), nil
+}
+
+// coldChainSolve is the E5-chain cell's operation: one min-makespan of
+// n tasks on a fresh solve.New(chain), the production chain solver,
+// reporting its phases into tr (nil for none).
+func coldChainSolve(ch platform.Chain, n int, tr *obs.SolveTrace) error {
+	s, err := solve.New(ch)
+	if err != nil {
+		return err
+	}
+	s.SetTrace(tr)
+	_, _, err = s.MinMakespan(n)
+	return err
 }
 
 // solvePhases runs one extra cold min-makespan solve of a cell with a
@@ -235,10 +244,7 @@ func (c benchCell) prepare(cl *client.Client, pt *BenchPoint) (run func() error,
 	case opSchedule:
 		ch := c.p.(platform.Chain)
 		pt.PhaseNs, err = chainPhases(ch, c.n)
-		return func() error {
-			_, err := core.Schedule(ch, c.n)
-			return err
-		}, 1, err
+		return func() error { return coldChainSolve(ch, c.n, nil) }, 1, err
 	case opCold:
 		sp := c.p.(platform.Spider)
 		pt.PhaseNs, pt.ProbesPerSolve, err = solvePhases(sp, c.n)

@@ -32,10 +32,12 @@ func (w workCounts) sub(prev workCounts) workCounts {
 // workPin is what the gate pins for one cell: the work of its cold
 // operation and, on a warm cell, the work and the allocations of
 // warmRuns+1 repeats on the warmed path (testing.AllocsPerRun's run
-// count, its warm-up run included).
+// count, its warm-up run included). On E5-chain it also pins the
+// allocations of the cold operation itself.
 type workPin struct {
 	cold, warm workCounts
 	allocs     float64 // per warm repeat
+	coldAllocs float64 // per cold operation
 }
 
 const warmRuns = 20
@@ -52,9 +54,11 @@ func (c benchCell) gateName() string {
 // work runs the cell's operation in-process and counts its work. A
 // cold cell is one min-makespan on a fresh solver. A warm cell repeats
 // its warm path on the warmed state: the E5p-loop walk on the warmed
-// spider solver; for E5-chain, which times the one-shot core.Schedule,
-// min-makespan on a warmed solve.New(chain), the production chain
-// solver; for the SVC cells, Service.Solve without the HTTP hop.
+// spider solver; for E5-chain, which times a cold min-makespan on a
+// fresh solve.New(chain), the production chain solver, the same
+// min-makespan repeated on that solver once warmed, and the cold
+// operation's own allocations; for the SVC cells, Service.Solve
+// without the HTTP hop.
 func (c benchCell) work(t *testing.T) workPin {
 	t.Helper()
 	var (
@@ -64,7 +68,13 @@ func (c benchCell) work(t *testing.T) workPin {
 	)
 	switch c.op {
 	case opSchedule:
-		s, err := solve.New(c.p)
+		ch := c.p.(platform.Chain)
+		pin.coldAllocs = testing.AllocsPerRun(warmRuns, func() {
+			if err := coldChainSolve(ch, c.n, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s, err := solve.New(ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +165,8 @@ func TestOfferCountsPinned(t *testing.T) {
 		return workCounts{probes, packs, offered, constructed, plans}
 	}
 	pins := map[string]workPin{
-		"E5-chain/n=512":                   {cold: w(0, 0, 0, 512, 0), allocs: 514},
-		"E5-chain/n=2048":                  {cold: w(0, 0, 0, 2048, 0), allocs: 2050},
+		"E5-chain/n=512":                   {cold: w(0, 0, 0, 512, 0), allocs: 514, coldAllocs: 1046},
+		"E5-chain/n=2048":                  {cold: w(0, 0, 0, 2048, 0), allocs: 2050, coldAllocs: 4121},
 		"E5c-spider/legs=4/n=32":           {cold: w(1, 2, 65, 80, 4)},
 		"E5c-spider/legs=4/n=128":          {cold: w(1, 2, 257, 320, 4)},
 		"E5c-spider/legs=4/n=512":          {cold: w(1, 2, 1025, 1280, 4)},

@@ -163,15 +163,6 @@ func (s PhaseSnapshot) Sub(prev PhaseSnapshot) PhaseSnapshot {
 	return d
 }
 
-// TotalNs sums the phases.
-func (s PhaseSnapshot) TotalNs() int64 {
-	var total int64
-	for p := Phase(0); p < NumPhases; p++ {
-		total += s.Ns[p]
-	}
-	return total
-}
-
 // Map renders the snapshot as a phase-name → nanoseconds map, omitting
 // zero phases — the JSON shape of the service's cost block and the
 // msbench phase cells.

@@ -14,7 +14,7 @@ func TestTraceNilSafety(t *testing.T) {
 	tr.Observe(PhasePack, time.Millisecond)
 	tr.ObserveSince(PhaseMerge, time.Now())
 	s := tr.Snapshot()
-	if s.TotalNs() != 0 || s.Map() != nil {
+	if s != (PhaseSnapshot{}) || s.Map() != nil {
 		t.Fatalf("nil trace snapshot not empty: %+v", s)
 	}
 }
@@ -31,9 +31,6 @@ func TestTraceAccumulatesAndSubtracts(t *testing.T) {
 	}
 	if d.Spans[PhaseConstruct] != 1 || d.Spans[PhasePack] != 1 {
 		t.Fatalf("span delta = %+v", d.Spans)
-	}
-	if d.TotalNs() != 57 {
-		t.Fatalf("total = %d, want 57", d.TotalNs())
 	}
 	m := d.Map()
 	if m["construct"] != 50 || m["pack"] != 7 || len(m) != 2 {

@@ -10,7 +10,7 @@ import (
 // a one-leg spider and a spider as its tree (platform.TreeFromSpider).
 //
 // Nodes are numbered 0..Len()-1 depth-first, so on a spider's tree the
-// order is AllDests' (leg, depth) order. Every node owns one send port
+// order is (leg, depth) order. Every node owns one send port
 // and the master owns port 0; sending into node u occupies its parent's
 // port for comm(u). On a spider the master's port covers every leg's
 // first link and an inner node's port is its only outgoing link, so the

@@ -10,6 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
+// allDests lists every processor of the spider as a destination, in
+// (leg, depth) order.
+func allDests(sp platform.Spider) []SpiderDest {
+	var out []SpiderDest
+	for b, leg := range sp.Legs {
+		for k := 1; k <= leg.Len(); k++ {
+			out = append(out, SpiderDest{Leg: b, Proc: k})
+		}
+	}
+	return out
+}
+
 // destSeq is a quick.Generator producing a random chain together with a
 // valid destination sequence on it.
 type destSeq struct {
@@ -98,7 +110,7 @@ func TestForwardMatchesSimReplay(t *testing.T) {
 			}
 			sp = f.Spider()
 		}
-		all := AllDests(sp)
+		all := allDests(sp)
 		dests := make([]SpiderDest, rng.Intn(10))
 		simDests := make([]sim.Dest, len(dests))
 		for i := range dests {

@@ -39,17 +39,6 @@ func ForwardSpider(sp platform.Spider, dests []SpiderDest) (*sched.SpiderSchedul
 	return replay(spiderForward(sp), sp, ids), nil
 }
 
-// AllDests lists every processor of the spider as a destination.
-func AllDests(sp platform.Spider) []SpiderDest {
-	var out []SpiderDest
-	for b, leg := range sp.Legs {
-		for k := 1; k <= leg.Len(); k++ {
-			out = append(out, SpiderDest{Leg: b, Proc: k})
-		}
-	}
-	return out
-}
-
 // BruteSpider returns an optimal schedule and makespan for n tasks on
 // the spider by exhaustive search over the (total processors)^n
 // destination sequences.

@@ -65,19 +65,6 @@ func TestForwardSpiderInvalidDest(t *testing.T) {
 	}
 }
 
-func TestAllDests(t *testing.T) {
-	got := AllDests(smallSpider())
-	want := []SpiderDest{{0, 1}, {0, 2}, {1, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("AllDests = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("dest %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestBruteSpiderSmall(t *testing.T) {
 	sp := smallSpider()
 	s, mk, err := BruteSpider(sp, 2)

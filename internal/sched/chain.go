@@ -142,17 +142,6 @@ func (s *ChainSchedule) Equal(o *ChainSchedule) bool {
 	return true
 }
 
-// Subset returns a new schedule keeping only the tasks whose (0-based)
-// indices are selected; any subset of a feasible schedule stays feasible
-// because removing tasks only releases resources.
-func (s *ChainSchedule) Subset(keep []int) *ChainSchedule {
-	out := &ChainSchedule{Chain: s.Chain}
-	for _, idx := range keep {
-		out.Tasks = append(out.Tasks, s.Tasks[idx].Clone())
-	}
-	return out
-}
-
 // Verify checks structural sanity (indices in range, vector lengths,
 // non-negative times) and the four feasibility conditions of
 // Definition 1. Pairwise resource conditions are checked in O(n log n)

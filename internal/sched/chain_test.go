@@ -160,17 +160,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSubsetFeasible(t *testing.T) {
-	s := handSchedule()
-	sub := s.Subset([]int{1, 2})
-	if sub.Len() != 2 {
-		t.Fatalf("Subset len = %d, want 2", sub.Len())
-	}
-	if err := sub.Verify(); err != nil {
-		t.Errorf("subset of feasible schedule infeasible: %v", err)
-	}
-}
-
 func TestIntervalsMatchScheduleAndHaveNoOverlap(t *testing.T) {
 	s := handSchedule()
 	ivs := s.Intervals()

@@ -24,15 +24,6 @@ func NewStatic(name string, dests []Dest) *Static {
 	return &Static{name: name, dests: dests}
 }
 
-// NewStaticFromChain replays a chain schedule's destinations.
-func NewStaticFromChain(name string, s *sched.ChainSchedule) *Static {
-	dests := make([]Dest, 0, s.Len())
-	for _, t := range s.Tasks {
-		dests = append(dests, Dest{Leg: 0, Proc: t.Proc})
-	}
-	return NewStatic(name, dests)
-}
-
 // NewStaticFromSpider replays a spider schedule's destinations in
 // emission order.
 func NewStaticFromSpider(name string, s *sched.SpiderSchedule) *Static {

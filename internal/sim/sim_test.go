@@ -8,9 +8,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/platform"
+	"repro/internal/sched"
 	"repro/internal/spider"
 	"repro/internal/trace"
 )
+
+// staticFromChain replays a chain schedule's destinations.
+func staticFromChain(name string, s *sched.ChainSchedule) *Static {
+	dests := make([]Dest, 0, s.Len())
+	for _, t := range s.Tasks {
+		dests = append(dests, Dest{Leg: 0, Proc: t.Proc})
+	}
+	return NewStatic(name, dests)
+}
 
 func fig2Chain() platform.Chain { return platform.NewChain(2, 5, 3, 3) }
 
@@ -58,7 +68,7 @@ func TestStaticReplayOfOptimalChainSequenceMatchesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunChain(ch, n, NewStaticFromChain("optimal-replay", s))
+		res, err := RunChain(ch, n, staticFromChain("optimal-replay", s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func TestStaticReplayOfGreedyMatchesItsSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunChain(ch, n, NewStaticFromChain("greedy-replay", s))
+		res, err := RunChain(ch, n, staticFromChain("greedy-replay", s))
 		if err != nil {
 			t.Fatal(err)
 		}

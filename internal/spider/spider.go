@@ -26,7 +26,7 @@
 // rebuilds every leg plan at every deadline probe, for O(n·p²) per leg
 // per probe — O(n²·p²) overall (Theorem 2). The Solver in this file
 // exploits two structural facts of the backward construction (see
-// core.Engine):
+// core.Incremental):
 //
 //   - translation invariance: the leg plan toward deadline T is the
 //     horizon-0 plan shifted by T, so one cached backward sequence per

@@ -165,12 +165,3 @@ func WriteJSON(w io.Writer, ivs []Interval) error {
 	}
 	return nil
 }
-
-// ReadJSON decodes an interval array written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Interval, error) {
-	var ivs []Interval
-	if err := json.NewDecoder(r).Decode(&ivs); err != nil {
-		return nil, fmt.Errorf("trace: reading JSON: %w", err)
-	}
-	return ivs, nil
-}
